@@ -15,7 +15,6 @@ from .space import (  # noqa: F401
     Operator,
     WeightedSpace,
     gz_bound_check,
-    inner_L,
     is_L_isometric,
     is_symmetrizable,
     make_space,
@@ -54,7 +53,6 @@ from .compat import (  # noqa: F401
     compat_margin,
     compat_projection,
     krein_check,
-    symm_identity_verify,
 )
 from .spectra import (  # noqa: F401
     RieszDiagnostics,

@@ -315,13 +315,7 @@ def cmd_study(args):
                                               control=args.control)
     else:
         rows = studies.symmetry_truncation_study(args.ks)
-    if args.out:
-        studies.emit_rows(rows, args.format, args.out)
-    else:
-        sys.stdout.write(
-            studies.rows_to_csv(rows) if args.format == "csv"
-            else _json_text(studies.rows_to_json_obj(rows))
-        )
+    studies.emit_rows(rows, args.format, args.out or sys.stdout)
     return 0
 
 
@@ -336,14 +330,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_dim=True):
+    def add_output(p, seed=True, default_format="json"):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=("json", "csv"),
+                       default=default_format)
+        p.add_argument("--out", default=None)
+
+    def add_common(p):
         p.add_argument("--seed", type=int, default=0)
-        if with_dim:
-            p.add_argument("--dim", type=int, default=10)
+        p.add_argument("--dim", type=int, default=10)
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
+        add_output(p, seed=False)
 
     p_check = sub.add_parser("check", help="run a randomized check suite")
     p_check.add_argument("suite", choices=sorted(_SUITES))
@@ -365,9 +364,7 @@ def build_parser():
         p.add_argument("--m", type=int, default=64)
         p.add_argument("--weight", default=None, help="matrix literal")
         p.add_argument("--k", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
+        add_output(p)
         p.set_defaults(func=_riesz_run)
 
     add_riesz_args(demo_sub.add_parser("riesz"))
@@ -375,18 +372,14 @@ def build_parser():
     p_cq = demo_sub.add_parser("cq")
     p_cq.add_argument("--z", required=True, help="matrix literal")
     p_cq.add_argument("--k", type=int, default=None)
-    p_cq.add_argument("--seed", type=int, default=0)
-    p_cq.add_argument("--format", choices=("json", "csv"), default="json")
-    p_cq.add_argument("--out", default=None)
+    add_output(p_cq)
     p_cq.set_defaults(func=cmd_demo_cq)
 
     p_tc = demo_sub.add_parser("two_companions")
     p_tc.add_argument("--z", required=True, help="matrix literal")
     p_tc.add_argument("--t", required=True, help="matrix literal")
     p_tc.add_argument("--k", type=int, default=None)
-    p_tc.add_argument("--seed", type=int, default=0)
-    p_tc.add_argument("--format", choices=("json", "csv"), default="json")
-    p_tc.add_argument("--out", default=None)
+    add_output(p_tc)
     p_tc.set_defaults(func=cmd_demo_two_companions)
 
     p_sy = demo_sub.add_parser("sylvester")
@@ -396,9 +389,7 @@ def build_parser():
     p_sy.add_argument("--k", type=int, default=None)
     p_sy.add_argument("--force", action="store_true")
     p_sy.add_argument("--tol", type=float, default=1e-9)
-    p_sy.add_argument("--seed", type=int, default=0)
-    p_sy.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sy.add_argument("--out", default=None)
+    add_output(p_sy)
     p_sy.set_defaults(func=cmd_demo_sylvester)
 
     p_study = sub.add_parser("study", help="emit truncation-study rows")
@@ -408,14 +399,12 @@ def build_parser():
     p_div.add_argument("--beta", type=float, required=True)
     p_div.add_argument("--dims", type=_int_list, default=[8, 16, 32, 64])
     p_div.add_argument("--control", action="store_true")
-    p_div.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_div.add_argument("--out", default=None)
+    add_output(p_div, seed=False, default_format="csv")
     p_div.set_defaults(func=cmd_study)
 
     p_sym = study_sub.add_parser("symmetry")
     p_sym.add_argument("--ks", type=_int_list, default=[2, 4, 8])
-    p_sym.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_sym.add_argument("--out", default=None)
+    add_output(p_sym, seed=False, default_format="csv")
     p_sym.set_defaults(func=cmd_study)
 
     add_riesz_args(sub.add_parser(

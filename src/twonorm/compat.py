@@ -27,13 +27,10 @@ from .space import Operator, as_matrix, opnorm, proper_norm, _spec_norm
 from .subspaces import (
     Subspace,
     ProjPair,
-    complement_L,
-    max_principal_angle,
     oblique_projection,
     span,
     subspace_contained,
     subspace_equal,
-    _from_orthonormal,
     _validate_idempotent_pair,
 )
 
@@ -46,7 +43,6 @@ __all__ = [
     "compat_margin",
     "krein_check",
     "buckholtz_verify",
-    "symm_identity_verify",
     "companion_transport",
     "companion_metric",
     "algebraic_lemma_check",
@@ -127,7 +123,7 @@ def _lproj_matrix(ws, s):
 def _compat_data(ws, s, t):
     """Shared worker: canonical projection by two routes plus margin data."""
     if t is None:
-        t = complement_L(ws, s)
+        t = s.complement
     pair = oblique_projection(ws, s, t)
     n = ws.dim
     c = pair.p.matrix + pair.p_plus.matrix - np.eye(n)
@@ -170,9 +166,8 @@ def compat_projection(ws, s, t=None):
     """
     _, _, _, _, q, _ = _compat_data(ws, s, t)
     q_plus = ws.plus_matrix(q)
-    null_sub = complement_L(ws, s)
-    _validate_idempotent_pair(ws, q, q_plus, s, null_sub)
-    return ProjPair(Operator(q, ws), Operator(q_plus, ws), s, null_sub)
+    _validate_idempotent_pair(ws, q, q_plus, s, s.complement)
+    return ProjPair(Operator(q, ws), Operator(q_plus, ws), s, s.complement)
 
 
 def compat_margin(ws, s, t=None):
@@ -210,11 +205,11 @@ def krein_check(ws, s, q, tol=TOL_ANGLE):
         raise NotIdempotent("candidate matrix is not a projection")
     u, sv, vh = la.svd(m)
     rank = int(np.sum(sv > 0.5))
-    rng = _from_orthonormal(ws, u[:, :rank])
-    ker = _from_orthonormal(ws, vh[rank:].conj().T)
+    rng = Subspace(u[:, :rank], ws)
+    ker = Subspace(vh[rank:].conj().T, ws)
     if not subspace_equal(rng, s, tol):
         return False
-    return subspace_contained(ker, complement_L(ws, s), tol)
+    return subspace_contained(ker, s.complement, tol)
 
 
 def buckholtz_verify(ws, s, t):
@@ -248,11 +243,6 @@ def buckholtz_verify(ws, s, t):
         res_symmetric=res3,
         kappa=float(np.linalg.cond(m)),
     )
-
-
-def symm_identity_verify(ws, s, t):
-    """Residual of ``P_S - P_T = (2P - I)(P_S + P_T)`` alone."""
-    return buckholtz_verify(ws, s, t).res_symmetric
 
 
 def companion_transport(ws, s, t, t1):

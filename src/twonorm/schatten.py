@@ -29,7 +29,7 @@ from .space import (
     _spec_norm,
 )
 from .compat import compat_margin
-from .subspaces import span, subspace_equal, _from_orthonormal
+from .subspaces import Subspace, span, subspace_equal
 
 __all__ = [
     "MatrixSpaceModel",
@@ -161,33 +161,28 @@ def unvec(v, k):
     return np.asarray(v, dtype=complex).reshape((k, k), order="F")
 
 
-def _check_block(model, a, name):
-    m = _as_matrix(a, model.k, name)
-    return m
-
-
 def left_mult(model, a):
     """Superoperator of ``x -> a x``."""
-    a = _check_block(model, a, "a")
+    a = _as_matrix(a, model.k, "a")
     return Operator(np.kron(np.eye(model.k), a), model.ws)
 
 
 def right_mult(model, b):
     """Superoperator of ``x -> x b``."""
-    b = _check_block(model, b, "b")
+    b = _as_matrix(b, model.k, "b")
     return Operator(np.kron(b.T, np.eye(model.k)), model.ws)
 
 
 def two_sided_mult(model, a, b):
     """Superoperator of ``x -> a x b``."""
-    a = _check_block(model, a, "a")
-    b = _check_block(model, b, "b")
+    a = _as_matrix(a, model.k, "a")
+    b = _as_matrix(b, model.k, "b")
     return Operator(np.kron(b.T, a), model.ws)
 
 
 def sandwich(model, z):
     """Superoperator of the conjugation ``x -> z* x z``."""
-    z = _check_block(model, z, "z")
+    z = _as_matrix(z, model.k, "z")
     return Operator(np.kron(z.T, z.conj().T), model.ws)
 
 
@@ -271,7 +266,7 @@ def _superop_range_kernel(model, op):
     """Range and kernel of a flattened superoperator as subspaces."""
     mat = op.matrix
     rng = span(model.ws, mat)
-    ker = _from_orthonormal(model.ws, la.null_space(mat))
+    ker = Subspace(la.null_space(mat), model.ws)
     return rng, ker
 
 
@@ -374,7 +369,7 @@ def adz_norm_check(model, z, tol=1e-6):
     -------
     AdzNormReport
     """
-    z = _check_block(model, z, "z")
+    z = _as_matrix(z, model.k, "z")
     op = sandwich(model, z)
     frob = _spec_norm(op.matrix)
     znorm_sq = _spec_norm(z) ** 2

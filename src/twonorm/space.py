@@ -35,7 +35,6 @@ __all__ = [
     "Operator",
     "GzReport",
     "make_space",
-    "inner_L",
     "plus_adjoint",
     "opnorm",
     "proper_norm",
@@ -264,14 +263,6 @@ def make_space(n, weight, enorm="euclid"):
                 "trace-tag spaces require the identity weight"
             )
     return WeightedSpace(n, a, enorm)
-
-
-def inner_L(ws, f, g):
-    """Weighted inner product ``<f, g>_L = g* A f``.
-
-    Linear in ``f``, conjugate-linear in ``g``.
-    """
-    return ws.inner(f, g)
 
 
 def plus_adjoint(ws, t):

@@ -20,7 +20,7 @@ import scipy.linalg as la
 
 from .errors import ContourTooClose, NotIdempotent, NotIsolated
 from .space import Operator, as_matrix, _spec_norm
-from .subspaces import ProjPair, _from_orthonormal, _validate_idempotent_pair
+from .subspaces import ProjPair, Subspace
 
 __all__ = [
     "SpectrumReport",
@@ -220,8 +220,8 @@ def riesz_projection(ws, t, lam, eps, m=64):
     )
     u, sv, vh = la.svd(q)
     r = diag.range_dim
-    range_sub = _from_orthonormal(ws, u[:, :r])
-    null_sub = _from_orthonormal(ws, vh[r:].conj().T)
+    range_sub = Subspace(u[:, :r], ws)
+    null_sub = Subspace(vh[r:].conj().T, ws)
     pair = ProjPair(Operator(q, ws), Operator(q_plus, ws), range_sub, null_sub)
     return pair, diag
 

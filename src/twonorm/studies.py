@@ -21,7 +21,7 @@ import scipy.linalg as la
 from .errors import BadExponent, IoFailure
 from .space import make_space, _spec_norm
 from .compat import compat_margin
-from .subspaces import complement_L, span
+from .subspaces import span
 from .schatten import block_idempotent, matrix_space, two_sided_mult, \
     z_criterion_margin
 
@@ -89,7 +89,7 @@ def diverging_vector_study(n_list, beta, control=False):
             g[0] = 1.0
         else:
             g = idx ** (-beta)
-        s = complement_L(ws, span(ws, [g]))
+        s = span(ws, [g]).complement
         rep = compat_margin(ws, s)
         rows.append(StudyRow(
             n=n,

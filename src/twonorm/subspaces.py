@@ -10,9 +10,14 @@ range ``S`` and nullspace ``T`` for a pair splitting the space.  Its
 plus-adjoint is itself an oblique projection, onto the weighted complement
 of ``T`` along the weighted complement of ``S``; the constructor builds
 that second projection independently and cross-checks the two routes.
+Each matrix in that construction is factored once: one SVD of the stacked
+bases gives the splitting gap and the condition number, one SVD of ``P``
+gives its norm, range and kernel, and each subspace computes its weighted
+complement once and keeps it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -55,6 +60,8 @@ class Subspace:
     """A subspace held as a Euclidean-orthonormal basis.
 
     ``basis`` has shape ``(n, r)``; ``r == 0`` encodes the zero subspace.
+    The weighted complement inside ``space`` is computed on first access
+    of :attr:`complement` and cached; the instance is otherwise immutable.
     """
 
     basis: np.ndarray
@@ -72,6 +79,12 @@ class Subspace:
     @property
     def rank(self):
         return self.basis.shape[1]
+
+    @cached_property
+    def complement(self):
+        """The weighted orthogonal complement, as :func:`complement_L`
+        computes it in the subspace's own space."""
+        return complement_L(self.space, self)
 
 
 @dataclass(frozen=True)
@@ -144,10 +157,6 @@ def span(ws, vectors, tol_rank=TOL_RANK):
     return Subspace(u[:, :r], ws)
 
 
-def _from_orthonormal(ws, basis):
-    return Subspace(np.asarray(basis, dtype=complex), ws)
-
-
 def complement_L(ws, s):
     """Weighted orthogonal complement of a subspace, inside the space.
 
@@ -155,15 +164,26 @@ def complement_L(ws, s):
     the weight is Euclidean-orthogonal to ``S``, so the complement is the
     inverse weight applied to the Euclidean complement, re-orthonormalized.
     Its dimension is ``n - dim S``.
+
+    Every call recomputes the complement; :attr:`Subspace.complement`
+    computes it once per subspace and is what the package itself uses.
     """
     n = ws.dim
     if s.rank == 0:
-        return _from_orthonormal(ws, np.eye(n))
+        return Subspace(np.eye(n), ws)
     if s.rank == n:
-        return _from_orthonormal(ws, np.zeros((n, 0), dtype=complex))
+        return Subspace(np.zeros((n, 0)), ws)
     ortho = la.null_space(s.basis.conj().T)
     raw = ws.solve_weight(ortho)
-    return _from_orthonormal(ws, la.orth(raw))
+    return Subspace(la.orth(raw), ws)
+
+
+def _stacked_svals(s, t):
+    """Singular values of the stacked bases ``[B_S | B_T]``, largest first;
+    a single zero when the dimensions do not add up to the ambient one."""
+    if s.rank + t.rank != s.space.dim:
+        return np.zeros(1)
+    return la.svdvals(np.hstack([s.basis, t.basis]))
 
 
 def direct_sum_gap(s, t):
@@ -172,11 +192,7 @@ def direct_sum_gap(s, t):
     Zero when the dimensions do not add up to the ambient dimension; a
     positive gap certifies that the pair splits the space.
     """
-    n = s.space.dim
-    if s.rank + t.rank != n:
-        return 0.0
-    m = np.hstack([s.basis, t.basis])
-    return float(la.svdvals(m)[-1])
+    return float(_stacked_svals(s, t)[-1])
 
 
 def principal_angles(s1, s2):
@@ -218,33 +234,32 @@ def _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub):
     Tolerances are scaled by the size of the projection and the weight
     conditioning so that legitimately tilted pairs are not rejected; the
     unscaled contract figures are enforced by the test suites on their
-    random ensembles.
+    random ensembles.  One SVD of ``p`` gives both that size and the bases
+    of its range and kernel.  ``p_plus`` is not compared with
+    ``ws.plus_matrix(p)`` here: every caller either builds it that way or
+    has just checked that agreement at a tolerance no looser.
     """
     n = ws.dim
-    scale = max(1.0, _spec_norm(p)) ** 2 * max(1.0, ws.weight_cond)
+    u, sv, vh = la.svd(p)
+    scale = max(1.0, float(sv[0])) ** 2 * max(1.0, ws.weight_cond)
     if _spec_norm(p @ p - p) > 1e-10 * scale:
         raise ArithmeticError("projection failed the idempotency check")
     if _spec_norm(p_plus @ p_plus - p_plus) > 1e-10 * scale:
         raise ArithmeticError("plus-adjoint failed the idempotency check")
-    if _spec_norm(ws.plus_matrix(p) - p_plus) > 1e-9 * scale:
-        raise ArithmeticError("stored plus-adjoint disagrees with the weight")
     rank = range_sub.rank
     if rank not in (0, n):
-        u, s, vh = la.svd(p)
-        got = _from_orthonormal(ws, u[:, :rank])
+        got = Subspace(u[:, :rank], ws)
         if not subspace_equal(got, range_sub, TOL_ANGLE):
             raise ArithmeticError("projection range drifted from its subspace")
-        ker = _from_orthonormal(ws, vh[rank:].conj().T)
+        ker = Subspace(vh[rank:].conj().T, ws)
         if not subspace_equal(ker, null_sub, TOL_ANGLE):
             raise ArithmeticError("projection kernel drifted from its subspace")
 
 
-def _block_solve_projection(ws, s, t):
+def _block_solve_projection(s, t):
     """Idempotent with range ``s`` and nullspace ``t`` by a block solve."""
-    n = ws.dim
-    m = np.hstack([s.basis, t.basis])
-    inv = la.inv(m)
-    return s.basis @ inv[: s.rank], m
+    inv = la.inv(np.hstack([s.basis, t.basis]))
+    return s.basis @ inv[: s.rank]
 
 
 def oblique_projection(ws, s, t, tol_gap=TOL_GAP):
@@ -272,18 +287,16 @@ def oblique_projection(ws, s, t, tol_gap=TOL_GAP):
     NotComplementary
         If the pair does not split the space at the gap tolerance.
     """
-    gap = direct_sum_gap(s, t)
+    svals = _stacked_svals(s, t)
+    gap = float(svals[-1])
     if gap <= tol_gap:
         raise NotComplementary(
             f"pair does not split the space (gap {gap:.3e} <= {tol_gap:.0e})"
         )
-    p, m = _block_solve_projection(ws, s, t)
+    kappa = float(svals[0] / svals[-1])
+    p = _block_solve_projection(s, t)
     p_plus = ws.plus_matrix(p)
-
-    s_comp = complement_L(ws, t)
-    t_comp = complement_L(ws, s)
-    p_indep, m2 = _block_solve_projection(ws, s_comp, t_comp)
-    kappa = float(np.linalg.cond(m))
+    p_indep = _block_solve_projection(t.complement, s.complement)
     cross_tol = 1e-9 * max(1.0, kappa ** 2) * max(1.0, ws.weight_cond)
     cross = _spec_norm(p_plus - p_indep)
     if cross > cross_tol:
@@ -302,7 +315,7 @@ def is_proper_companion(ws, s, t, tol_gap=TOL_GAP):
     relation behind every projection built here.
     """
     gap = direct_sum_gap(s, t)
-    comp_gap = direct_sum_gap(complement_L(ws, t), complement_L(ws, s))
+    comp_gap = direct_sum_gap(t.complement, s.complement)
     ok = gap > tol_gap and comp_gap > tol_gap
     return CompanionReport(gap=gap, complement_gap=comp_gap, ok=bool(ok))
 
@@ -376,7 +389,7 @@ def finite_rank_proper_projection(ws, f_list, h_list, tol_bio=TOL_BIO):
             f"swapped-family adjoint disagrees with the weight ({cross:.3e})"
         )
     range_sub = span(ws, f)
-    null_sub = complement_L(ws, span(ws, h))
+    null_sub = span(ws, h).complement
     _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub)
     return ProjPair(Operator(p, ws), Operator(p_plus, ws), range_sub, null_sub)
 
@@ -395,14 +408,13 @@ def nullspace_plus_check(ws, t, tol=TOL_ANGLE):
         return span(ws, mat)
 
     def _null(mat):
-        basis = la.null_space(mat)
-        return _from_orthonormal(ws, basis)
+        return Subspace(la.null_space(mat), ws)
 
     lhs1 = _null(mp)
-    rhs1 = complement_L(ws, _range(m))
+    rhs1 = _range(m).complement
     ang1 = max_principal_angle(lhs1, rhs1) if lhs1.rank == rhs1.rank else np.pi
     lhs2 = _range(mp)
-    rhs2 = complement_L(ws, _null(m))
+    rhs2 = _null(m).complement
     ang2 = max_principal_angle(lhs2, rhs2) if lhs2.rank == rhs2.rank else np.pi
     return NullspacePlusReport(
         null_angle=float(ang1),

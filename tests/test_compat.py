@@ -135,9 +135,9 @@ def test_buckholtz_identities_random_pairs():
         assert rep.res_inverse <= bound and rep.res_projection <= bound
 
 
-def test_symm_identity_wrapper_returns_the_third_residual():
+def test_buckholtz_symmetric_residual_on_canonical_pair():
     ws, s, t = canonical_pair()
-    assert tn.symm_identity_verify(ws, s, t) <= 1e-12
+    assert tn.buckholtz_verify(ws, s, t).res_symmetric <= 1e-12
 
 
 def test_companion_transport_frozen_two_by_two():

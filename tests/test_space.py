@@ -56,7 +56,7 @@ def test_inner_matches_plain_dot_for_identity_weight():
     rng = rand.trial_rng(1, 0)
     f = rand._complex_gauss(rng, 3)
     g = rand._complex_gauss(rng, 3)
-    assert tn.inner_L(ws, f, g) == pytest.approx(np.vdot(g, f), abs=1e-14)
+    assert ws.inner(f, g) == pytest.approx(np.vdot(g, f), abs=1e-14)
 
 
 def test_inner_matches_double_sum_oracle():
@@ -69,13 +69,13 @@ def test_inner_matches_double_sum_oracle():
     for j in range(5):
         for k in range(5):
             acc += np.conj(g[j]) * ws.weight[j, k] * f[k]
-    assert tn.inner_L(ws, f, g) == pytest.approx(acc, abs=1e-12)
+    assert ws.inner(f, g) == pytest.approx(acc, abs=1e-12)
 
 
 def test_inner_rejects_wrong_length():
     ws = tn.make_space(3, np.eye(3))
     with pytest.raises(DimMismatch):
-        tn.inner_L(ws, np.ones(4), np.ones(3))
+        ws.inner(np.ones(4), np.ones(3))
 
 
 def test_plus_adjoint_frozen_two_by_two():

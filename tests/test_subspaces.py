@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import twonorm as tn
 from twonorm import rand
@@ -142,6 +143,40 @@ def test_oblique_projection_rejects_non_companions():
         tn.oblique_projection(ws, s, s)
 
 
+def test_oblique_projection_factors_each_matrix_once(monkeypatch):
+    """One SVD of the stacked bases, one of P, and no complement rebuilt:
+    drawing the pair already computed both weighted complements."""
+    rng = rand.trial_rng(11, 51)
+    ws = rand.random_space(rng, 8)
+    s, t = rand.random_companion_pair(rng, ws, 3)
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("svd", "svdvals", "null_space", "orth"):
+        count(la, name)
+    for name in ("svd", "cond"):
+        count(np.linalg, name)
+    tn.oblique_projection(ws, s, t)
+    assert calls.get("scipy.linalg.svdvals") == 1
+    svd_calls = calls.get("scipy.linalg.svd", 0) \
+        + calls.get("numpy.linalg.svd", 0)
+    assert svd_calls == 1
+    for key in ("scipy.linalg.null_space", "scipy.linalg.orth",
+                "numpy.linalg.cond"):
+        assert key not in calls
+    assert s.complement is s.complement
+    assert np.array_equal(s.complement.basis, tn.complement_L(ws, s).basis)
+
+
 def test_is_proper_companion_reports():
     ws = euclid2()
     s = tn.span(ws, [E1])
@@ -162,7 +197,7 @@ def test_gram_schmidt_produces_weighted_orthonormal_columns():
 def test_gram_schmidt_normalizes_a_single_vector():
     ws = tn.make_space(2, np.diag([0.25, 1.0]))
     cols = tn.gram_schmidt_L(ws, [2.0 * E1])
-    assert tn.inner_L(ws, cols[:, 0], cols[:, 0]) == pytest.approx(1.0, abs=1e-12)
+    assert ws.inner(cols[:, 0], cols[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_schmidt_preserves_span():
