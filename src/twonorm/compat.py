@@ -57,11 +57,13 @@ class CompatReport:
 
     ``margin_c`` is the smallest singular value of ``C = P + P+ - I`` in
     ambient coordinates (Frobenius coordinates under the trace tag);
-    ``q_norm`` is the ambient operator norm of the canonical projection;
-    ``residual_cross`` is the disagreement between the inverse-formula and
-    direct constructions of that projection (None when the formula route
-    was suppressed as ill-conditioned); ``is_compatible`` records margin
-    positivity.
+    ``q_norm`` is the ambient operator norm of the canonical projection,
+    exact under the Euclidean tag; under the trace tag it comes from
+    :func:`~twonorm.space.trace_opnorm_estimate` and is an estimate, a
+    lower bound only; ``residual_cross`` is the disagreement between the
+    inverse-formula and direct constructions of that projection (None when
+    the formula route was suppressed as ill-conditioned); ``is_compatible``
+    records margin positivity.
     """
 
     margin_c: float

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings, strategies as st
 
 import twonorm as tn
-from twonorm import rand
+from twonorm import rand, space
 from twonorm.errors import (
     DimMismatch,
     NonIdentityWeightForTrace,
@@ -13,6 +14,40 @@ from twonorm.errors import (
     NotPositiveDefinite,
 )
 from twonorm.space import _spec_norm
+
+
+def _serial_ascent(ws, m, restarts=space.ESTIMATE_RESTARTS,
+                   iters=space.ESTIMATE_ITERS):
+    """Reference for ``trace_opnorm_estimate``: the same ascent, one
+    restart after another, one vector at a time.
+
+    Returns the best objective and whether every restart stopped on its
+    own rule before ``iters`` steps ran out.
+    """
+    k = ws.block_dim
+    rng = np.random.default_rng(space._ESTIMATE_SEED)
+    best, all_stopped = 0.0, True
+    for _ in range(restarts):
+        u = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        u /= np.linalg.norm(u)
+        v /= np.linalg.norm(v)
+        prev, stopped = -np.inf, False
+        for _ in range(iters):
+            y = tn.unvec(m @ tn.vec(np.outer(u, v.conj())), k)
+            uy, sy, vhy = la.svd(y)
+            obj = float(sy.sum())
+            if obj <= prev * (1.0 + 1e-13) + 1e-300:
+                stopped = True
+                break
+            prev = obj
+            pulled = tn.unvec(m.conj().T @ tn.vec(uy @ vhy), k)
+            up, _, vhp = la.svd(pulled)
+            u = up[:, 0]
+            v = vhp[0].conj()
+        all_stopped = all_stopped and stopped
+        best = max(best, prev)
+    return best, all_stopped
 
 
 def test_make_space_rejects_indefinite_weight():
@@ -214,3 +249,104 @@ def test_weight_cond_and_block_dim_props():
     assert ws.weight_cond == pytest.approx(8.0, rel=1e-12)
     model = tn.matrix_space(3)
     assert model.ws.block_dim == 3
+
+
+def _random_superops(model, rng):
+    """One two-sided multiplication, one sandwich and one dense map."""
+    k = model.k
+    a = rand._complex_gauss(rng, k, k)
+    b = rand._complex_gauss(rng, k, k)
+    return {
+        "two_sided_mult": tn.two_sided_mult(model, a, b).matrix,
+        "sandwich": tn.sandwich(model, a).matrix,
+        "dense": rand._complex_gauss(rng, k * k, k * k),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_trace_norm_estimate_matches_serial_ascent(k):
+    """The stacked ascent lands where the one-restart-at-a-time ascent
+    does, to rounding, on each kind of map."""
+    model = tn.matrix_space(k)
+    checked = {"two_sided_mult": 0, "sandwich": 0, "dense": 0}
+    for trial in range(6):
+        maps = _random_superops(model, rand.trial_rng(41, 10 * k + trial))
+        for kind, m in maps.items():
+            ref, all_stopped = _serial_ascent(model.ws, m)
+            if kind == "dense" and not all_stopped:
+                # a restart cut off mid-ascent compares trajectories, not
+                # limits; dense maps are compared where all restarts settle
+                continue
+            est = tn.trace_opnorm_estimate(model.ws, m)
+            assert abs(est - ref) <= 1e-10 * ref, (kind, trial, est, ref)
+            checked[kind] += 1
+    assert min(checked.values()) >= 3, checked
+
+
+def test_trace_norm_estimate_edge_cases():
+    model = tn.matrix_space(3)
+    m = rand._complex_gauss(rand.trial_rng(41, 99), 9, 9)
+    assert tn.trace_opnorm_estimate(model.ws, np.zeros((9, 9))) == 0.0
+    assert tn.trace_opnorm_estimate(model.ws, m, restarts=0) == 0.0
+    assert tn.trace_opnorm_estimate(model.ws, m, iters=0) == 0.0
+    scalar = tn.matrix_space(1)
+    est = tn.trace_opnorm_estimate(scalar.ws, np.array([[3.0 - 4.0j]]))
+    assert est == pytest.approx(5.0, rel=1e-14)
+    with pytest.raises(DimMismatch):
+        tn.trace_opnorm_estimate(tn.make_space(4, np.eye(4)), np.eye(4))
+
+
+def test_trace_norm_estimate_stacks_its_restarts(monkeypatch):
+    """Each ascent step takes one stacked SVD of the outputs and one of
+    the pulled-back certificates, whatever the number of restarts."""
+    model = tn.matrix_space(4)
+    z = rand._complex_gauss(rand.trial_rng(41, 98), 4, 4)
+    calls = {}
+
+    def count(owner, key):
+        fn = owner.svd
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "svd", counted)
+
+    count(la, "scipy")
+    count(np.linalg, "numpy")
+    tn.adz_norm_check(model, z)
+    assert sum(calls.values()) <= 2 * space.ESTIMATE_ITERS, calls
+    assert "scipy" not in calls
+
+
+_GAUSS_INT = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
+
+
+def _gauss_int_matrix(draw, n):
+    entries = draw(st.lists(_GAUSS_INT, min_size=n * n, max_size=n * n))
+    return np.array(entries, dtype=complex).reshape(n, n)
+
+
+@st.composite
+def _superop_draw(draw):
+    """Side k, two k x k factors and a dense k^2 x k^2 map, all with
+    Gaussian-integer entries."""
+    k = draw(st.integers(1, 4))
+    return (k, _gauss_int_matrix(draw, k), _gauss_int_matrix(draw, k),
+            _gauss_int_matrix(draw, k * k))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(_superop_draw())
+def test_trace_norm_estimate_properties(drawn):
+    """Attains sigma1(a) sigma1(b) on x -> a x b, never exceeds the
+    certified bound sqrt(k) |T|_2 on a dense map, and repeats bitwise."""
+    k, a, b, t = drawn
+    model = tn.matrix_space(k)
+    exact = la.svdvals(a)[0] * la.svdvals(b)[0]
+    est = tn.trace_opnorm_estimate(
+        model.ws, tn.two_sided_mult(model, a, b).matrix)
+    assert abs(est - exact) <= 1e-8 * exact
+    est = tn.trace_opnorm_estimate(model.ws, t)
+    assert est <= np.sqrt(k) * _spec_norm(t) * (1.0 + 1e-12)
+    assert tn.trace_opnorm_estimate(model.ws, t) == est
