@@ -6,10 +6,12 @@ separated by whitespace.  Subspace files prepend a ``subspace n r`` header
 to the matrix format of the basis.  Parsers reject non-finite entries.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimMismatch
-from .subspaces import Subspace
+from .subspaces import span
 from .space import WeightedSpace
 
 __all__ = [
@@ -54,7 +56,7 @@ def loads_matrix(text):
             if len(parts) != 2:
                 raise ValueError(f"bad entry {cell!r} at ({i}, {j})")
             re, im = float(parts[0]), float(parts[1])
-            if not (np.isfinite(re) and np.isfinite(im)):
+            if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"non-finite entry at ({i}, {j})")
             out[i, j] = complex(re, im)
     return out
@@ -79,8 +81,10 @@ def dump_subspace(sub, path):
 def load_subspace(path, ws):
     """Read a subspace file onto an existing space.
 
-    The basis is taken as stored; it must be orthonormal and match the
-    space dimension.
+    The stored basis must match the space dimension and be orthonormal to
+    ``1e-8``.  The subspace holds an orthonormal basis of its span to
+    working precision, as every :class:`~twonorm.subspaces.Subspace` does,
+    so a basis stored at a few digits short of full precision still loads.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -100,4 +104,4 @@ def load_subspace(path, ws):
         raise DimMismatch("subspace file does not fit the given space")
     if r and np.abs(basis.conj().T @ basis - np.eye(r)).max() > 1e-8:
         raise ValueError("stored basis is not orthonormal")
-    return Subspace(basis, ws)
+    return span(ws, basis)

@@ -209,7 +209,8 @@ def make_space(n, weight, enorm="euclid"):
     """Validate and build a :class:`WeightedSpace`.
 
     The weight is Hermitian-symmetrized as ``(A + A*) / 2`` before any
-    checks run.
+    checks run.  The checks read the eigenvalues the space caches, so the
+    weight is factored once.
 
     Parameters
     ----------
@@ -242,7 +243,8 @@ def make_space(n, weight, enorm="euclid"):
         raise ValueError(f"unknown ambient-norm tag {enorm!r}")
     a = _as_matrix(weight, n, "weight")
     a = (a + a.conj().T) / 2.0
-    evals = la.eigvalsh(a)
+    ws = WeightedSpace(n, a, enorm)
+    evals = ws._evals
     if evals[0] <= TOL_PD:
         raise NotPositiveDefinite(
             f"weight has eigenvalue {evals[0]:.3e} at or below {TOL_PD:.0e}"
@@ -262,7 +264,7 @@ def make_space(n, weight, enorm="euclid"):
             raise NonIdentityWeightForTrace(
                 "trace-tag spaces require the identity weight"
             )
-    return WeightedSpace(n, a, enorm)
+    return ws
 
 
 def plus_adjoint(ws, t):

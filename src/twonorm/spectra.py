@@ -213,13 +213,13 @@ def riesz_projection(ws, t, lam, eps, m=64):
     q_plus_contour = _contour_sum(
         ws.plus_matrix(mat), complex(lam).conjugate(), float(eps), nodes
     )
+    u, sv, vh = la.svd(q)
+    r = int(np.sum(sv > 0.5))
     diag = RieszDiagnostics(
         idempotency_res=_spec_norm(q @ q - q),
         plus_res=_spec_norm(q_plus - q_plus_contour),
-        range_dim=int(np.sum(la.svdvals(q) > 0.5)),
+        range_dim=r,
     )
-    u, sv, vh = la.svd(q)
-    r = diag.range_dim
     range_sub = Subspace(u[:, :r], ws)
     null_sub = Subspace(vh[r:].conj().T, ws)
     pair = ProjPair(Operator(q, ws), Operator(q_plus, ws), range_sub, null_sub)

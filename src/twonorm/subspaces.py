@@ -2,8 +2,9 @@
 
 Subspaces are stored through Euclidean-orthonormal bases (columns of an
 ``n x r`` matrix).  All comparisons between subspaces go through principal
-angles computed from singular values of cross-Gram matrices; no other
-comparison primitive is used anywhere in the package.
+angles computed from singular values of the cross-Gram matrix of the
+stored bases and of its residual; no other comparison primitive is used
+anywhere in the package.
 
 The central construction is the oblique projection ``P`` with a prescribed
 range ``S`` and nullspace ``T`` for a pair splitting the space.  Its
@@ -62,6 +63,15 @@ class Subspace:
     ``basis`` has shape ``(n, r)``; ``r == 0`` encodes the zero subspace.
     The weighted complement inside ``space`` is computed on first access
     of :attr:`complement` and cached; the instance is otherwise immutable.
+
+    The columns are orthonormal to working precision, and
+    :func:`principal_angles` relies on that without checking it.  Every
+    constructor in the package establishes it: :func:`span` and the range
+    and kernel bases of projections take singular vectors,
+    :func:`complement_L` takes ``orth`` (or the identity), the kernel
+    checks take ``null_space``, and :func:`twonorm.matio.load_subspace`
+    re-orthonormalizes what it reads.  Build one directly only from
+    orthonormal columns; :func:`span` accepts any family of vectors.
     """
 
     basis: np.ndarray
@@ -198,13 +208,31 @@ def direct_sum_gap(s, t):
 def principal_angles(s1, s2):
     """Principal angles between two subspaces, largest first.
 
-    Computed from singular values of cross-Gram matrices of the orthonormal
-    bases, with the sine-based refinement for small angles.  An empty array
-    is returned when either subspace is zero.
+    The stored bases are orthonormal, so they are used as they are, with no
+    re-orthonormalization (Bjorck & Golub, Math. Comp. 27, 1973; Knyazev &
+    Argentati, SIAM J. Sci. Comput. 23(6), 2002).  With ``B1`` the basis of
+    the larger rank, the sines are the singular values of the residual
+    ``B2 - B1 (B1* B2)`` and the cosines those of the cross-Gram
+    ``B1* B2``.  Each angle takes its well-conditioned formula: ``arcsin``
+    below pi/4 and ``arccos`` above, so the cross-Gram is factored only
+    when some angle exceeds pi/4.  There are ``min(rank)`` angles; an empty
+    array is returned when either subspace is zero.
     """
     if s1.rank == 0 or s2.rank == 0:
         return np.zeros(0)
-    return la.subspace_angles(s1.basis, s2.basis)
+    b1, b2 = s1.basis, s2.basis
+    if s1.rank < s2.rank:
+        b1, b2 = b2, b1
+    gram = b1.conj().T @ b2
+    # numpy's SVD costs half of scipy's per call on these small matrices
+    sines = np.linalg.svd(b2 - b1 @ gram, compute_uv=False)
+    angles = np.arcsin(np.minimum(sines, 1.0))
+    wide = sines ** 2 > 0.5
+    if wide.any():
+        # ascending cosines pair with the descending sines
+        cosines = np.linalg.svd(gram, compute_uv=False)[::-1]
+        angles[wide] = np.arccos(np.minimum(cosines[wide], 1.0))
+    return angles
 
 
 def max_principal_angle(s1, s2):

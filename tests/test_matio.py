@@ -64,6 +64,22 @@ def test_subspace_roundtrip(tmp_path):
     assert tn.max_principal_angle(s, s2) <= 1e-12
 
 
+def test_load_subspace_reorthonormalizes_a_nearly_orthonormal_basis(tmp_path):
+    """A basis off by about 1e-9 passes the 1e-8 acceptance test and loads
+    as an orthonormal basis of the same span."""
+    rng = rand.trial_rng(70, 2)
+    ws = rand.random_space(rng, 6)
+    s = rand.random_subspace(rng, ws, 3)
+    stored = s.basis + 1e-9 * rand._complex_gauss(rng, 6, 3)
+    assert np.abs(stored.conj().T @ stored - np.eye(3)).max() > 1e-10
+    path = tmp_path / "near.sub"
+    path.write_text("subspace 6 3\n" + matio.dumps_matrix(stored))
+    loaded = matio.load_subspace(path, ws)
+    b = loaded.basis
+    assert np.linalg.norm(b.conj().T @ b - np.eye(3), 2) <= 1e-14
+    assert tn.max_principal_angle(s, loaded) <= 1e-8
+
+
 def test_load_subspace_validations(tmp_path):
     ws = tn.make_space(3, np.eye(3))
     path = tmp_path / "bad.sub"

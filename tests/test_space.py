@@ -80,6 +80,26 @@ def test_trace_tag_needs_identity_weight():
         tn.make_space(4, np.diag([1.0, 0.5, 0.5, 1.0]), enorm="trace")
 
 
+def test_make_space_factors_the_weight_once(monkeypatch):
+    """Validation reads the eigenvalues the space caches."""
+    calls = []
+
+    def counted(name):
+        fn = getattr(la, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(la, name, counted(name))
+    tn.make_space(4, np.diag([1.0, 0.5, 0.25, 0.125]))
+    tn.make_space(4, np.eye(4), enorm="trace")
+    assert calls == ["eigh", "eigh"]
+
+
 def test_make_space_symmetrizes_input():
     ws = tn.make_space(2, np.array([[1.0, 0.1], [0.0, 1.0]]) * 0.9)
     dev = np.abs(ws.weight - ws.weight.conj().T).max()

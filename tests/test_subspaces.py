@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings, strategies as st
 
 import twonorm as tn
 from twonorm import rand
@@ -144,8 +145,9 @@ def test_oblique_projection_rejects_non_companions():
 
 
 def test_oblique_projection_factors_each_matrix_once(monkeypatch):
-    """One SVD of the stacked bases, one of P, and no complement rebuilt:
-    drawing the pair already computed both weighted complements."""
+    """One SVD of the stacked bases, one of P, one residual SVD for each of
+    the range and kernel angle checks, and no complement rebuilt: drawing
+    the pair already computed both weighted complements."""
     rng = rand.trial_rng(11, 51)
     ws = rand.random_space(rng, 8)
     s, t = rand.random_companion_pair(rng, ws, 3)
@@ -161,20 +163,127 @@ def test_oblique_projection_factors_each_matrix_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("svd", "svdvals", "null_space", "orth"):
+    for name in ("svd", "svdvals", "null_space", "orth", "subspace_angles"):
         count(la, name)
-    for name in ("svd", "cond"):
+    for name in ("svd", "svdvals", "cond"):
         count(np.linalg, name)
     tn.oblique_projection(ws, s, t)
-    assert calls.get("scipy.linalg.svdvals") == 1
-    svd_calls = calls.get("scipy.linalg.svd", 0) \
-        + calls.get("numpy.linalg.svd", 0)
-    assert svd_calls == 1
-    for key in ("scipy.linalg.null_space", "scipy.linalg.orth",
-                "numpy.linalg.cond"):
-        assert key not in calls
+    # the angles are small, so neither check factors its cross-Gram
+    assert calls == {"scipy.linalg.svdvals": 1, "scipy.linalg.svd": 1,
+                     "numpy.linalg.svd": 2}
     assert s.complement is s.complement
     assert np.array_equal(s.complement.basis, tn.complement_L(ws, s).basis)
+
+
+def _near(rng, ws, b, r, lean=0.05):
+    """Span of ``r`` orthonormal combinations of the columns of ``b``, each
+    tilted by about ``lean`` in a random direction."""
+    mix = rand.haar_unitary(rng, b.shape[1])[:, :r]
+    return tn.span(ws, b @ mix + lean * rand._complex_gauss(rng, ws.dim, r))
+
+
+@pytest.mark.parametrize("big, small, side", [
+    (3, 3, "below"), (5, 2, "below"), (8, 3, "below"), (8, 8, "below"),
+    (3, 3, "above"), (5, 2, "above"), (4, 4, "above"),
+])
+def test_principal_angles_match_scipy_on_one_side_of_quarter_pi(
+        big, small, side):
+    """Where every angle is below pi/4 (or every one above), scipy's
+    ``subspace_angles`` uses one formula throughout, so both sines and
+    cosines must agree.  Both argument orders are run, so the ranks come
+    in either order; rank 8 is the whole space."""
+    rng = rand.trial_rng(41, 10 * big + small)
+    ws = rand.random_space(rng, 8)
+    s1 = rand.random_subspace(rng, ws, big)
+    base = s1.basis if side == "below" else la.null_space(s1.basis.conj().T)
+    s2 = _near(rng, ws, base, small)
+    for a, b in ((s1, s2), (s2, s1)):
+        got = tn.principal_angles(a, b)
+        ref = la.subspace_angles(a.basis, b.basis)
+        assert got.shape == ref.shape == (small,)
+        below = got < np.pi / 4
+        assert below.all() if side == "below" else not below.any()
+        assert np.abs(np.sin(got) - np.sin(ref)).max() <= 1e-12
+        assert np.abs(np.cos(got) - np.cos(ref)).max() <= 1e-12
+
+
+def test_principal_angles_with_the_zero_subspace_are_empty():
+    ws = rand.random_space(rand.trial_rng(41, 0), 4)
+    zero = tn.span(ws, np.zeros((4, 0)))
+    s = tn.span(ws, np.eye(4)[:, :2])
+    for a, b in ((zero, s), (s, zero), (zero, zero)):
+        assert tn.principal_angles(a, b).shape == (0,)
+        assert tn.max_principal_angle(a, b) == 0.0
+
+
+def test_principal_angles_on_both_sides_of_quarter_pi():
+    """Random pairs in C^6 whose angles straddle pi/4: each angle below
+    pi/4 must be the arcsin of its residual singular value and each one
+    above the arccos of its cross-Gram singular value, the sines descending
+    and the cosines ascending as the angles run largest first."""
+    mixed = 0
+    for trial in range(20):
+        rng = rand.trial_rng(43, trial)
+        ws = rand.random_space(rng, 6)
+        s1 = rand.random_subspace(rng, ws, 3)
+        s2 = rand.random_subspace(rng, ws, int(rng.integers(2, 4)))
+        got = tn.principal_angles(s1, s2)
+        gram = s1.basis.conj().T @ s2.basis
+        cosines = la.svdvals(gram)[::-1]
+        sines = la.svdvals(s2.basis - s1.basis @ gram)
+        err = np.where(got < np.pi / 4, np.abs(np.sin(got) - sines),
+                       np.abs(np.cos(got) - cosines))
+        assert err.max() <= 1e-13
+        mixed += bool((got < np.pi / 4).any() and (got > np.pi / 4).any())
+    assert mixed >= 5
+
+
+def test_principal_angles_resolve_planted_tiny_and_near_right_angles():
+    """Angles 1e-6 and pi/2 - 1e-6 in one pair, rotated by a Haar unitary.
+    Taking arccos of a cosine near one, or arcsin of a sine near one, would
+    lose about 1e-10 on one of them."""
+    tiny, rest = 1e-6, np.pi / 2 - 1e-6
+    e = np.eye(4)
+    b1 = e[:, :2]
+    b2 = np.stack([np.cos(rest) * e[:, 0] + np.sin(rest) * e[:, 2],
+                   np.cos(tiny) * e[:, 1] + np.sin(tiny) * e[:, 3]], axis=1)
+    rng = rand.trial_rng(47, 0)
+    ws = rand.random_space(rng, 4)
+    q = rand.haar_unitary(rng, 4)
+    got = tn.principal_angles(tn.Subspace(q @ b1, ws),
+                              tn.Subspace(q @ b2, ws))
+    assert np.abs(got - [rest, tiny]).max() <= 1e-14
+
+
+@st.composite
+def _subspace_pair_draw(draw):
+    """Dimension n, two ranks in [0, n] and a seed for the bases."""
+    n = draw(st.integers(1, 6))
+    return (n, draw(st.integers(0, n)), draw(st.integers(0, n)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_subspace_pair_draw())
+def test_principal_angles_properties(drawn):
+    """min(r1, r2) angles in [0, pi/2], largest first, unchanged by a
+    change of basis and, for equal ranks, by swapping the arguments."""
+    n, r1, r2, seed = drawn
+    rng = np.random.default_rng(seed)
+    ws = rand.random_space(rng, n)
+    s1 = rand.random_subspace(rng, ws, r1)
+    s2 = rand.random_subspace(rng, ws, r2)
+    ang = tn.principal_angles(s1, s2)
+    assert ang.shape == (min(r1, r2),)
+    assert ((ang >= 0.0) & (ang <= np.pi / 2)).all()
+    assert (np.diff(ang) <= 1e-14).all()
+    if r1:
+        moved = tn.span(ws, s1.basis @ rand.haar_unitary(rng, r1))
+        assert np.abs(tn.principal_angles(moved, s2) - ang).max(
+            initial=0.0) <= 1e-12
+    if r1 == r2:
+        assert np.abs(tn.principal_angles(s2, s1) - ang).max(
+            initial=0.0) <= 1e-12
 
 
 def test_is_proper_companion_reports():
