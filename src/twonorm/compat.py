@@ -62,22 +62,18 @@ class CompatReport:
     :func:`~twonorm.space.trace_opnorm_estimate` and is an estimate, a
     lower bound only; ``residual_cross`` is the disagreement between the
     inverse-formula and direct constructions of that projection (None when
-    the formula route was suppressed as ill-conditioned); ``is_compatible``
+    the formula route was suppressed as ill-conditioned); ``kappa_c`` is the
+    condition number ``s_max / s_min`` of ``C``, read from the same singular
+    values as the margin (``inf`` when ``C`` is exactly singular), which
+    scales the tolerance that residual is held to; ``is_compatible``
     records margin positivity.
     """
 
     margin_c: float
     q_norm: float
     residual_cross: float | None
+    kappa_c: float
     is_compatible: bool
-
-    def to_json_dict(self):
-        return {
-            "margin_c": self.margin_c,
-            "q_norm": self.q_norm,
-            "residual_cross": self.residual_cross,
-            "is_compatible": self.is_compatible,
-        }
 
 
 @dataclass(frozen=True)
@@ -123,14 +119,15 @@ def _lproj_matrix(ws, s):
 
 
 def _compat_data(ws, s, t):
-    """Shared worker: canonical projection by two routes plus margin data."""
+    """Shared worker: from one oblique projection and one SVD of ``C``, the
+    margin, ``kappa(C)``, the direct projection and the cross residual."""
     if t is None:
         t = s.complement
     pair = oblique_projection(ws, s, t)
-    n = ws.dim
-    c = pair.p.matrix + pair.p_plus.matrix - np.eye(n)
+    c = pair.p.matrix + pair.p_plus.matrix - np.eye(ws.dim)
     svals = la.svdvals(c)
     margin = float(svals[-1])
+    kappa_c = float(svals[0] / svals[-1]) if margin > 0.0 else np.inf
     q_direct = _lproj_matrix(ws, s)
     residual = None
     if margin < 1e-12 * svals[0]:
@@ -143,13 +140,12 @@ def _compat_data(ws, s, t):
     else:
         q_formula = la.solve(c, pair.p_plus.matrix)
         residual = _spec_norm(q_formula - q_direct)
-        kappa_c = float(svals[0] / svals[-1])
         agree_tol = 1e-9 * max(1.0, kappa_c) * max(1.0, ws.weight_cond)
         if residual > agree_tol:
             raise ArithmeticError(
                 f"projection routes disagree ({residual:.3e} > {agree_tol:.3e})"
             )
-    return pair, t, c, margin, q_direct, residual
+    return margin, kappa_c, q_direct, residual
 
 
 def compat_projection(ws, s, t=None):
@@ -166,7 +162,7 @@ def compat_projection(ws, s, t=None):
     ProjPair
         With range ``s`` and nullspace the weighted complement of ``s``.
     """
-    _, _, _, _, q, _ = _compat_data(ws, s, t)
+    _, _, q, _ = _compat_data(ws, s, t)
     q_plus = ws.plus_matrix(q)
     _validate_idempotent_pair(ws, q, q_plus, s, s.complement)
     return ProjPair(Operator(q, ws), Operator(q_plus, ws), s, s.complement)
@@ -179,11 +175,12 @@ def compat_margin(ws, s, t=None):
     -------
     CompatReport
     """
-    _, _, _, margin, q, residual = _compat_data(ws, s, t)
+    margin, kappa_c, q, residual = _compat_data(ws, s, t)
     return CompatReport(
         margin_c=margin,
         q_norm=opnorm(ws, q, "E"),
         residual_cross=residual,
+        kappa_c=kappa_c,
         is_compatible=bool(margin > 0.0),
     )
 
@@ -256,7 +253,9 @@ def companion_transport(ws, s, t, t1):
 
     whose plus-adjoint is the analogous transport between the weighted
     complements; that displayed form is verified against the weight route
-    before returning.
+    before returning.  Two projections are built: ``P_{t//s}`` is read off
+    the first as ``I - P_{s//t}``, and its plus-adjoint as
+    ``I - P_{s//t}+``.
 
     Returns
     -------
@@ -264,12 +263,10 @@ def companion_transport(ws, s, t, t1):
     """
     pair_st = oblique_projection(ws, s, t)
     pair_t1s = oblique_projection(ws, t1, s)
-    pair_ts = oblique_projection(ws, t, s)
-    g = pair_st.p.matrix + pair_t1s.p.matrix @ pair_ts.p.matrix
-    g_plus_formula = (
-        pair_st.p_plus.matrix
-        + pair_ts.p_plus.matrix @ pair_t1s.p_plus.matrix
-    )
+    p, p_plus = pair_st.p.matrix, pair_st.p_plus.matrix
+    eye = np.eye(ws.dim)
+    g = p + pair_t1s.p.matrix @ (eye - p)
+    g_plus_formula = p_plus + (eye - p_plus) @ pair_t1s.p_plus.matrix
     scale = max(1.0, _spec_norm(g)) * max(1.0, ws.weight_cond)
     res = _spec_norm(ws.plus_matrix(g) - g_plus_formula)
     if res > 1e-9 * scale:

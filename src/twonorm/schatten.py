@@ -29,7 +29,7 @@ from .space import (
     _spec_norm,
 )
 from .compat import compat_margin
-from .subspaces import Subspace, span, subspace_equal
+from .subspaces import _range_kernel, span, subspace_equal
 
 __all__ = [
     "MatrixSpaceModel",
@@ -135,13 +135,6 @@ class AdzNormReport:
     frob_norm: float
     trace_norm_estimate: float
     znorm_sq: float
-
-    def to_json_dict(self):
-        return {
-            "frob_norm": self.frob_norm,
-            "trace_norm_estimate": self.trace_norm_estimate,
-            "znorm_sq": self.znorm_sq,
-        }
 
 
 def matrix_space(k):
@@ -262,14 +255,6 @@ def sylvester(c, d, w, force=False, tol_spec=1e-8):
     return SylvesterResult(True, x, margin, residual)
 
 
-def _superop_range_kernel(model, op):
-    """Range and kernel of a flattened superoperator as subspaces."""
-    mat = op.matrix
-    rng = span(model.ws, mat)
-    ker = Subspace(la.null_space(mat), model.ws)
-    return rng, ker
-
-
 def cq_compat_demo(model, z):
     """Margins for the range of two-sided multiplication by the block
     idempotent built from ``z``.
@@ -293,7 +278,7 @@ def cq_compat_demo(model, z):
         )
     q = block_idempotent(z)
     cq = two_sided_mult(model, q, q)
-    rng, ker = _superop_range_kernel(model, cq)
+    rng, ker = _range_kernel(model.ws, cq.matrix)
     report = compat_margin(model.ws, rng, ker)
     crit = z_criterion_margin(z)
     return CqReport(
@@ -342,13 +327,15 @@ def two_companions_demo(model, z, t):
 
     q = block_idempotent(z)
     cq = two_sided_mult(model, q, q)
-    rng, ker = _superop_range_kernel(model, cq)
+    rng, ker = _range_kernel(model.ws, cq.matrix)
     x = la.block_diag(z, t)
     g = right_mult(model, x)
     moved_rng = span(model.ws, g.matrix @ rng.basis)
     moved_ker = span(model.ws, g.matrix @ ker.basis)
     q_t = block_idempotent(t)
-    target_rng, _ = _superop_range_kernel(model, two_sided_mult(model, q_t, q_t))
+    target_rng, _ = _range_kernel(
+        model.ws, two_sided_mult(model, q_t, q_t).matrix
+    )
     crit_t = z_criterion_margin(t)
     return TwoCompanionsReport(
         fixed_kernel=subspace_equal(moved_ker, ker),

@@ -67,11 +67,11 @@ class Subspace:
     The columns are orthonormal to working precision, and
     :func:`principal_angles` relies on that without checking it.  Every
     constructor in the package establishes it: :func:`span` and the range
-    and kernel bases of projections take singular vectors,
-    :func:`complement_L` takes ``orth`` (or the identity), the kernel
-    checks take ``null_space``, and :func:`twonorm.matio.load_subspace`
-    re-orthonormalizes what it reads.  Build one directly only from
-    orthonormal columns; :func:`span` accepts any family of vectors.
+    and kernel bases of projections and of the kernel checks take singular
+    vectors, :func:`complement_L` takes ``orth`` (or the identity), and
+    :func:`twonorm.matio.load_subspace` re-orthonormalizes what it reads.
+    Build one directly only from orthonormal columns; :func:`span` accepts
+    any family of vectors.
     """
 
     basis: np.ndarray
@@ -165,6 +165,17 @@ def span(ws, vectors, tol_rank=TOL_RANK):
         return Subspace(np.zeros((ws.dim, 0), dtype=complex), ws)
     r = int(np.sum(s > tol_rank * s[0]))
     return Subspace(u[:, :r], ws)
+
+
+def _range_kernel(ws, mat):
+    """Range and kernel of a square matrix as subspaces, from one full SVD.
+
+    The rank follows :func:`span`'s rule, so the two dimensions add up to
+    ``n``; the range basis is the one :func:`span` returns.
+    """
+    u, sv, vh = la.svd(mat)
+    r = int(np.sum(sv > TOL_RANK * sv[0])) if sv[0] != 0.0 else 0
+    return Subspace(u[:, :r], ws), Subspace(vh[r:].conj().T, ws)
 
 
 def complement_L(ws, s):
@@ -430,19 +441,11 @@ def nullspace_plus_check(ws, t, tol=TOL_ANGLE):
     kernel of ``T``.  Reports the largest principal angle of each pair.
     """
     m = as_matrix(t, ws)
-    mp = ws.plus_matrix(m)
-
-    def _range(mat):
-        return span(ws, mat)
-
-    def _null(mat):
-        return Subspace(la.null_space(mat), ws)
-
-    lhs1 = _null(mp)
-    rhs1 = _range(m).complement
+    m_range, m_null = _range_kernel(ws, m)
+    mp_range, mp_null = _range_kernel(ws, ws.plus_matrix(m))
+    lhs1, rhs1 = mp_null, m_range.complement
     ang1 = max_principal_angle(lhs1, rhs1) if lhs1.rank == rhs1.rank else np.pi
-    lhs2 = _range(mp)
-    rhs2 = _null(m).complement
+    lhs2, rhs2 = mp_range, m_null.complement
     ang2 = max_principal_angle(lhs2, rhs2) if lhs2.rank == rhs2.rank else np.pi
     return NullspacePlusReport(
         null_angle=float(ang1),

@@ -1,5 +1,6 @@
 """Command-line behavior: literals, exit codes, output shapes, determinism."""
 
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -171,3 +172,25 @@ def test_out_flag_writes_the_payload(tmp_path):
 def test_repeated_invocations_are_identical():
     args = ["check", "gz", "--dim", "5", "--trials", "4", "--seed", "11"]
     assert run_cli(args) == run_cli(args)
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        args = ["check", "adjoint", "--dim", "3", "--trials", "2"]
+        first = run_cli(args)
+        assert run_cli(args) == first
+        assert first[0] == 0
+        assert cli.build_parser() is cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()
+    # one tree of 12 parsers: the root, 3 commands and 8 subcommands
+    assert len(built) == 12

@@ -1,13 +1,17 @@
 """Compatibility operator, margins, transported companions, the algebraic lemma."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 import twonorm as tn
+import twonorm.cli as cli
+import twonorm.compat as compat
 from twonorm import rand
-from twonorm.errors import NotIdempotent, RangeOverlap
-from twonorm.space import _spec_norm
+from twonorm.errors import IllConditionedWarning, NotIdempotent, RangeOverlap
+from twonorm.space import Operator, _spec_norm
 
 from conftest import modest_space
 
@@ -45,6 +49,68 @@ def test_compat_margin_frozen_tilted_pair():
     assert rep.q_norm == pytest.approx(1.0, abs=1e-12)
     assert rep.residual_cross <= 1e-12
     assert rep.is_compatible
+
+
+def test_compat_margin_kappa_c_is_the_condition_number_of_c():
+    for trial in range(20):
+        rng = rand.trial_rng(16, trial)
+        n = int(rng.integers(2, 16))
+        ws = rand.random_space(rng, n)
+        s, t = rand.random_companion_pair(rng, ws, int(rng.integers(1, n)))
+        rep = tn.compat_margin(ws, s, t)
+        assert rep.kappa_c == np.linalg.cond(tn.c_operator(ws, s, t).matrix)
+
+
+def test_compat_margin_kappa_c_is_inf_for_an_exactly_singular_c(monkeypatch):
+    ws, s, t = canonical_pair()
+    # P + P+ - I = diag(0, -1): exactly singular, so the formula route is
+    # suppressed and the condition number is infinite, with no divide warning
+    fake = tn.ProjPair(Operator(np.diag([1.0, 0.0]), ws),
+                       Operator(np.zeros((2, 2)), ws), s, t)
+    monkeypatch.setattr(compat, "oblique_projection", lambda *args: fake)
+    with pytest.warns(IllConditionedWarning):
+        rep = tn.compat_margin(ws, s, t)
+    assert rep.margin_c == 0.0
+    assert rep.kappa_c == np.inf
+    assert rep.residual_cross is None
+
+
+def _count_projection_builds(monkeypatch):
+    """Count compat's oblique-projection builds; forbid the rebuild of C
+    and its separate condition number."""
+    calls = []
+    build = compat.oblique_projection
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return build(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("C was rebuilt or factored again")
+
+    monkeypatch.setattr(compat, "oblique_projection", counting)
+    monkeypatch.setattr(compat, "c_operator", forbidden)
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    return calls
+
+
+def test_check_compat_trial_builds_one_projection_per_margin(monkeypatch,
+                                                             capsys):
+    calls = _count_projection_builds(monkeypatch)
+    assert cli.main(["check", "compat", "--trials", "1", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+    # compat_margin for each companion plus one compat_projection
+    assert len(calls) == 3
+
+
+def test_companion_transport_builds_two_projections(monkeypatch):
+    rng = rand.trial_rng(18, 2)
+    ws = modest_space(rng, 7)
+    s, t = rand.random_companion_pair(rng, ws, 3, min_gap=0.02, attempts=2000)
+    _, t1 = rand.random_companion_pair(rng, ws, 3, min_gap=0.02, attempts=2000)
+    calls = _count_projection_builds(monkeypatch)
+    tn.companion_transport(ws, s, t, t1)
+    assert calls == [(s, t), (t1, s)]
 
 
 def test_compat_projection_is_orthogonal_for_identity_weight():

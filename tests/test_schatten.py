@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg as la
 
 import twonorm as tn
+import twonorm.schatten as schatten
 from twonorm import rand
 from twonorm.errors import DimMismatch, SingularSystem
 from twonorm.space import _spec_norm
+from twonorm.subspaces import _range_kernel
 
 
 def test_vec_unvec_roundtrip_and_column_order():
@@ -217,6 +219,34 @@ def test_cq_demo_frozen_rows():
     assert rep.op_margin == pytest.approx(0.0, abs=1e-12)
     assert rep.margin_direct > 0.5
     assert rep.k == 2
+
+
+def test_superoperator_range_and_kernel_come_from_one_svd(monkeypatch):
+    """The range and kernel bases are those of span and null_space, bitwise,
+    and the cq demo factors its superoperator once for both."""
+    for k in range(1, 5):
+        rng = rand.trial_rng(61, k)
+        model = tn.matrix_space(2 * k)
+        q = tn.block_idempotent(rand._complex_gauss(rng, k, k))
+        m = tn.two_sided_mult(model, q, q).matrix
+        rng_sub, ker_sub = _range_kernel(model.ws, m)
+        assert np.array_equal(rng_sub.basis, tn.span(model.ws, m).basis)
+        assert np.array_equal(ker_sub.basis, la.null_space(m))
+        assert rng_sub.rank + ker_sub.rank == model.ws.dim
+
+    null_space = la.null_space
+
+    def non_square_null_space(a, *args, **kwargs):
+        # complement_L takes the null space of an r x n adjoint basis
+        assert a.shape[0] != a.shape[1], "superoperator factored again"
+        return null_space(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("superoperator factored again")
+
+    monkeypatch.setattr(la, "null_space", non_square_null_space)
+    monkeypatch.setattr(schatten, "span", forbidden)
+    tn.cq_compat_demo(tn.matrix_space(4), 0.5 * np.eye(2))
 
 
 def test_cq_demo_rejects_wrong_model_size():
