@@ -6,13 +6,13 @@ prints a one-object summary; ``demo`` runs one of the worked constructions;
 projection.  All output is deterministic for a fixed seed and flag set.
 
 Exit codes: 0 on success, 1 when a numerical check fails, 2 on bad
-parameters.
+parameters or a file that cannot be read or written.
 """
 
 import argparse
 import functools
-import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import scipy.linalg as la
@@ -74,40 +74,13 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _emit_text(text, out):
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(obj):
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
-def _flat_csv_text(obj):
-    keys = list(obj.keys())
-    cells = []
-    for key in keys:
-        val = obj[key]
-        if isinstance(val, bool):
-            cells.append("true" if val else "false")
-        elif val is None:
-            cells.append("")
-        elif isinstance(val, (int, float)):
-            cells.append(repr(val))
-        else:
-            cells.append(str(val))
-    return ",".join(keys) + "\n" + ",".join(cells) + "\n"
-
-
 def _emit_payload(obj, fmt, out, drop_for_csv=()):
     if fmt == "csv":
         slim = {k: v for k, v in obj.items() if k not in drop_for_csv}
-        _emit_text(_flat_csv_text(slim), out)
+        text = matio.dumps_csv([slim])
     else:
-        _emit_text(_json_text(obj), out)
+        text = matio.dumps_json(obj)
+    matio.write_text(text, out or sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +247,7 @@ def cmd_demo_cq(args):
     z = parse_matrix_literal(args.z, args.k)
     model = schatten.matrix_space(2 * z.shape[0])
     report = schatten.cq_compat_demo(model, z)
-    _emit_payload(report.to_json_dict(), args.format, args.out)
+    _emit_payload(asdict(report), args.format, args.out)
     return 0
 
 
@@ -283,7 +256,7 @@ def cmd_demo_two_companions(args):
     t = parse_matrix_literal(args.t, args.k)
     model = schatten.matrix_space(2 * z.shape[0])
     report = schatten.two_companions_demo(model, z, t)
-    _emit_payload(report.to_json_dict(), args.format, args.out)
+    _emit_payload(asdict(report), args.format, args.out)
     return 0 if (report.fixed_kernel and report.transported_to_block_range) \
         else 1
 
@@ -388,7 +361,9 @@ def build_parser():
     p_sy.add_argument("--d", required=True, help="matrix literal")
     p_sy.add_argument("--w", required=True, help="matrix literal")
     p_sy.add_argument("--k", type=int, default=None)
-    p_sy.add_argument("--force", action="store_true")
+    p_sy.add_argument("--force", action="store_true",
+                      help="exit 2 on overlapping spectra instead of "
+                           "reporting solvable: false")
     p_sy.add_argument("--tol", type=float, default=1e-9)
     add_output(p_sy)
     p_sy.set_defaults(func=cmd_demo_sylvester)

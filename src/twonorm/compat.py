@@ -255,7 +255,9 @@ def companion_transport(ws, s, t, t1):
     complements; that displayed form is verified against the weight route
     before returning.  Two projections are built: ``P_{t//s}`` is read off
     the first as ``I - P_{s//t}``, and its plus-adjoint as
-    ``I - P_{s//t}+``.
+    ``I - P_{s//t}+``.  ``G`` is invertible by construction: it is the
+    identity on ``s``, carries ``t`` onto ``t1`` along ``s``, and both
+    splittings pass the gap tests of the two projections.
 
     Returns
     -------
@@ -277,8 +279,6 @@ def companion_transport(ws, s, t, t1):
         raise ArithmeticError("transport moved the fixed subspace")
     if t.rank and not subspace_equal(span(ws, g @ t.basis), t1, TOL_ANGLE):
         raise ArithmeticError("transport missed the target companion")
-    if la.svdvals(g)[-1] <= 0.0:
-        raise ArithmeticError("transport operator is singular")
     return Operator(g, ws)
 
 
@@ -288,6 +288,14 @@ def companion_metric(ws, s, t1, t2):
     pair1 = oblique_projection(ws, t1, s)
     pair2 = oblique_projection(ws, t2, s)
     return proper_norm(ws, pair1.p.matrix - pair2.p.matrix)
+
+
+def _rank_kernel(m):
+    """Rank and kernel basis of ``m`` from one SVD, at the default cutoff
+    ``s.max() * max(m.shape) * eps`` of ``matrix_rank`` and ``null_space``."""
+    _, sv, vh = la.svd(m)
+    rank = int(np.sum(sv > sv.max() * max(m.shape) * np.finfo(sv.dtype).eps))
+    return rank, vh[rank:].conj().T
 
 
 def algebraic_lemma_check(ws, t1, t2):
@@ -308,15 +316,13 @@ def algebraic_lemma_check(ws, t1, t2):
     m1 = as_matrix(t1, ws)
     m2 = as_matrix(t2, ws)
     n = ws.dim
-    r1 = int(np.linalg.matrix_rank(m1))
-    r2 = int(np.linalg.matrix_rank(m2))
+    r1, null1 = _rank_kernel(m1)
+    r2, null2 = _rank_kernel(m2)
     r_stack = int(np.linalg.matrix_rank(np.hstack([m1, m2])))
     if r_stack < r1 + r2:
         raise RangeOverlap(
             f"ranges share a subspace of dimension {r1 + r2 - r_stack}"
         )
-    null1 = la.null_space(m1)
-    null2 = la.null_space(m2)
     null_rank = int(np.linalg.matrix_rank(np.hstack([null1, null2]))) \
         if null1.size + null2.size else 0
     lhs = null_rank == n

@@ -93,7 +93,8 @@ class BadExponent(TwoNormError):
 
 
 class IoFailure(TwoNormError):
-    """Raised when emitting rows to a sink fails at the OS level."""
+    """Raised when reading or writing a file or stream fails at the OS
+    level."""
 
 
 class IllConditionedWarning(UserWarning):

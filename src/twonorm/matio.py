@@ -1,20 +1,27 @@
-"""Plain-text exchange formats for matrices and subspaces.
+"""Plain-text formats, and the package's one reader and one writer.
 
-Matrix files carry a ``rows cols`` header line followed by one line per
-row, each entry written as a comma-joined ``re,im`` pair and entries
-separated by whitespace.  Subspace files prepend a ``subspace n r`` header
-to the matrix format of the basis.  Parsers reject non-finite entries.
+Command payloads are JSON (two-space indent, no NaN) or CSV (flat rows
+under a header of the first row's keys).  Matrix files carry a ``rows cols``
+header line followed by one line per row, each entry written as a
+comma-joined ``re,im`` pair and entries separated by whitespace.  Subspace
+files prepend a ``subspace n r`` header to the matrix format of the basis.
+Parsers reject non-finite entries; a read or write that fails at the OS
+level raises :class:`~twonorm.errors.IoFailure`.
 """
 
+import json
 import math
 
 import numpy as np
 
-from .errors import DimMismatch
+from .errors import DimMismatch, IoFailure
 from .subspaces import span
 from .space import WeightedSpace
 
 __all__ = [
+    "dumps_json",
+    "dumps_csv",
+    "write_text",
     "dump_matrix",
     "load_matrix",
     "dumps_matrix",
@@ -22,6 +29,52 @@ __all__ = [
     "dump_subspace",
     "load_subspace",
 ]
+
+
+def dumps_json(obj):
+    """``obj`` as strict JSON, indented by two spaces, ending in a newline."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _csv_cell(val):
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if val is None:
+        return ""
+    return repr(val) if isinstance(val, (int, float)) else str(val)
+
+
+def dumps_csv(rows):
+    """Flat dicts as CSV under a header of the first row's keys.  Cells:
+    ``true``/``false`` for a bool, empty for None, ``repr`` of an int or a
+    float, ``str`` of anything else."""
+    keys = list(rows[0])
+    body = [",".join(_csv_cell(row[k]) for k in keys) for row in rows]
+    return "\n".join([",".join(keys)] + body) + "\n"
+
+
+def write_text(text, sink):
+    """Write ``text`` to a file-like ``sink`` or to the file at path ``sink``.
+
+    Raises :class:`IoFailure` when the write fails at the OS level.
+    """
+    try:
+        if hasattr(sink, "write"):
+            sink.write(text)
+        else:
+            with open(sink, "w", encoding="ascii") as fh:
+                fh.write(text)
+    except OSError as exc:
+        name = getattr(sink, "name", sink)
+        raise IoFailure(f"could not write {name}: {exc}") from exc
+
+
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure(f"could not read {path}: {exc}") from exc
 
 
 def dumps_matrix(m):
@@ -63,19 +116,16 @@ def loads_matrix(text):
 
 
 def dump_matrix(m, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_matrix(m))
+    write_text(dumps_matrix(m), path)
 
 
 def load_matrix(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_matrix(fh.read())
+    return loads_matrix(_read_text(path))
 
 
 def dump_subspace(sub, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"subspace {sub.basis.shape[0]} {sub.basis.shape[1]}\n")
-        fh.write(dumps_matrix(sub.basis))
+    n, r = sub.basis.shape
+    write_text(f"subspace {n} {r}\n" + dumps_matrix(sub.basis), path)
 
 
 def load_subspace(path, ws):
@@ -86,9 +136,7 @@ def load_subspace(path, ws):
     working precision, as every :class:`~twonorm.subspaces.Subspace` does,
     so a basis stored at a few digits short of full precision still loads.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith("subspace"):
         raise ValueError("missing subspace header")
     head = lines[0].split()

@@ -100,15 +100,6 @@ class CqReport:
     margin_direct: float
     q_norm: float
 
-    def to_json_dict(self):
-        return {
-            "k": self.k,
-            "pair_margin": self.pair_margin,
-            "op_margin": self.op_margin,
-            "margin_direct": self.margin_direct,
-            "q_norm": self.q_norm,
-        }
-
 
 @dataclass(frozen=True)
 class TwoCompanionsReport:
@@ -118,14 +109,6 @@ class TwoCompanionsReport:
     transported_to_block_range: bool
     transported_pair_margin: float
     original_pair_margin: float
-
-    def to_json_dict(self):
-        return {
-            "fixed_kernel": self.fixed_kernel,
-            "transported_to_block_range": self.transported_to_block_range,
-            "transported_pair_margin": self.transported_pair_margin,
-            "original_pair_margin": self.original_pair_margin,
-        }
 
 
 @dataclass(frozen=True)
@@ -221,7 +204,8 @@ def sylvester(c, d, w, force=False, tol_spec=1e-8):
     ----------
     c, d, w : (k, k) array_like
     force : bool
-        Attempt the solve even when the spectra overlap.
+        Treat overlapping spectra as an error: raise instead of returning
+        an unsolvable result.  No solve is attempted either way.
 
     Returns
     -------

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .errors import BadExponent, IoFailure
+from . import matio
+from .errors import BadExponent
 from .space import make_space, _spec_norm
 from .compat import compat_margin
 from .subspaces import span
@@ -147,23 +148,16 @@ def symmetry_truncation_study(k_list):
     return rows
 
 
-def _aux_keys(rows):
-    keys = set()
-    for row in rows:
-        keys.update(row.aux)
-    return sorted(keys)
-
-
 def rows_to_csv(rows):
     """Render rows as CSV with a fixed, sorted column layout."""
-    keys = _aux_keys(rows)
-    lines = [",".join(["n", "margin_c", "q_norm", "g_enorm"] + keys)]
-    for row in rows:
-        cells = [str(row.n), repr(row.margin_c), repr(row.q_norm),
-                 repr(row.g_enorm)]
-        cells += [repr(float(row.aux[k])) for k in keys]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    if not rows:
+        return "n,margin_c,q_norm,g_enorm\n"
+    return matio.dumps_csv([
+        {"n": row.n, "margin_c": row.margin_c, "q_norm": row.q_norm,
+         "g_enorm": row.g_enorm,
+         **{k: float(v) for k, v in sorted(row.aux.items())}}
+        for row in rows
+    ])
 
 
 def rows_to_json_obj(rows):
@@ -189,21 +183,11 @@ def emit_rows(rows, fmt, sink):
     IoFailure
         When the sink cannot be written.
     """
-    import json
-
     if fmt == "csv":
         text = rows_to_csv(rows)
     elif fmt == "json":
-        text = json.dumps(rows_to_json_obj(rows), indent=2,
-                          allow_nan=False) + "\n"
+        text = matio.dumps_json(rows_to_json_obj(rows))
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    try:
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            with open(sink, "w", encoding="ascii") as fh:
-                fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"could not write study rows: {exc}") from exc
+    matio.write_text(text, sink)
     return text

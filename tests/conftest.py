@@ -1,9 +1,19 @@
 """Shared draw helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 import twonorm as tn
 from twonorm import rand
+
+# pyproject's ``pythonpath`` puts src/ on this process's path only; the CLI
+# tests that start ``python -m twonorm`` need it in the environment too.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH"),
+]))
 
 
 def modest_space(rng, n, floor=1e-2):

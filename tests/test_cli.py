@@ -194,3 +194,37 @@ def test_main_builds_the_parser_once(monkeypatch):
         cli.build_parser.cache_clear()
     # one tree of 12 parsers: the root, 3 commands and 8 subcommands
     assert len(built) == 12
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "adjoint", "--dim", "3", "--trials", "1"],
+    ["demo", "cq", "--z", "diag:1,-1", "--k", "2"],
+    ["riesz", "--t", "diag:1,2", "--lambda", "1", "--eps", "0.4"],
+    ["study", "symmetry", "--ks", "2"],
+])
+def test_out_into_a_missing_directory_exits_with_parameter_error(
+        argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert cli.main(argv + ["--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"twonorm: could not write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_file_literal_naming_a_missing_file_exits_with_parameter_error(
+        tmp_path, capsys):
+    path = tmp_path / "absent.mat"
+    assert cli.main(["demo", "cq", "--z", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"twonorm: could not read {path}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_csv_spells_bools_and_missing_values():
+    code, out = run_cli(
+        ["demo", "sylvester", "--c", "diag:1,2", "--d", "diag:1,4", "--w", "scalar:1",
+         "--k", "2", "--format", "csv"]
+    )
+    assert code == 0
+    assert out == "solvable,margin,residual\nfalse,0.0,\n"

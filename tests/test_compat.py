@@ -280,6 +280,33 @@ def test_algebraic_lemma_random_disjoint_low_rank():
     assert rep.agree and rep.one_sided
 
 
+def test_algebraic_lemma_factors_each_operand_once(monkeypatch):
+    """One SVD per operand gives its rank and kernel: 2 SVDs plus 4 rank
+    counts (stack, kernel stack, sum, one-sided), and no null_space."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("null_space refactors an operand")
+
+    monkeypatch.setattr(la, "svd", counted("svd", la.svd))
+    monkeypatch.setattr(la, "null_space", refuse)
+    monkeypatch.setattr(np.linalg, "matrix_rank",
+                        counted("rank", np.linalg.matrix_rank))
+    rng = rand.trial_rng(60, 2)
+    ws = tn.make_space(6, np.diag(np.linspace(1.0, 0.4, 6)))
+    t1 = rand._complex_gauss(rng, 6, 2) @ rand._complex_gauss(rng, 2, 6)
+    t2 = rand._complex_gauss(rng, 6, 2) @ rand._complex_gauss(rng, 2, 6)
+    rep = tn.algebraic_lemma_check(ws, t1, t2)
+    assert rep.agree
+    assert sorted(calls) == ["rank"] * 4 + ["svd"] * 2
+
+
 def test_algebraic_lemma_rejects_overlapping_ranges():
     ws = tn.make_space(2, np.eye(2))
     t1 = np.diag([1.0, 0.0])

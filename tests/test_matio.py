@@ -6,7 +6,7 @@ import pytest
 import twonorm as tn
 import twonorm.matio as matio
 from twonorm import rand
-from twonorm.errors import DimMismatch
+from twonorm.errors import DimMismatch, IoFailure
 
 
 def test_matrix_roundtrip_is_exact():
@@ -95,3 +95,30 @@ def test_load_subspace_validations(tmp_path):
     path.write_text("subspace 4 1\n4 1\n1,0\n0,0\n0,0\n0,0\n")
     with pytest.raises(DimMismatch):
         matio.load_subspace(path, ws)
+
+
+def test_file_functions_raise_io_failure_on_a_bad_path(tmp_path):
+    ws = tn.make_space(2, np.eye(2))
+    sub = tn.span(ws, [np.array([1.0, 0.0])])
+    missing = tmp_path / "missing" / "x.txt"
+    with pytest.raises(IoFailure, match="could not write"):
+        matio.dump_matrix(np.eye(2), missing)
+    with pytest.raises(IoFailure, match="could not write"):
+        matio.dump_subspace(sub, missing)
+    with pytest.raises(IoFailure, match="could not read"):
+        matio.load_matrix(missing)
+    with pytest.raises(IoFailure, match="could not read"):
+        matio.load_subspace(missing, ws)
+    # a directory cannot be opened as a file either way
+    with pytest.raises(IoFailure, match="could not write"):
+        matio.dump_matrix(np.eye(2), tmp_path)
+    with pytest.raises(IoFailure, match="could not read"):
+        matio.load_matrix(tmp_path)
+
+
+def test_refused_dump_leaves_the_target_untouched(tmp_path):
+    path = tmp_path / "m.mat"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError):
+        matio.dump_matrix(np.array([[np.nan, 0.0]]), path)
+    assert path.read_text() == "kept\n"
