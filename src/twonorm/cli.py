@@ -15,7 +15,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-import scipy.linalg as la
 
 from . import compat, matio, rand, schatten, spectra, studies, subspaces
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
     SingularSystem,
     TwoNormError,
 )
-from .space import make_space, opnorm, _spec_norm
+from .space import gz_bound_check, make_space, _spec_norm
 
 __all__ = ["main"]
 
@@ -97,8 +96,6 @@ def _suite_adjoint(rng, dim):
 
 
 def _suite_gz(rng, dim):
-    from .space import gz_bound_check
-
     ws = rand.random_space(rng, dim)
     t = rand.random_operator(rng, ws)
     rep = gz_bound_check(ws, t)

@@ -25,6 +25,7 @@ import scipy.linalg as la
 from .errors import IllConditionedWarning, NotIdempotent, RangeOverlap
 from .space import Operator, as_matrix, opnorm, proper_norm, _spec_norm
 from .subspaces import (
+    TOL_IDEM,
     Subspace,
     ProjPair,
     oblique_projection,
@@ -47,8 +48,6 @@ __all__ = [
     "companion_metric",
     "algebraic_lemma_check",
 ]
-
-TOL_ANGLE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -185,30 +184,31 @@ def compat_margin(ws, s, t=None):
     )
 
 
-def krein_check(ws, s, q, tol=TOL_ANGLE):
+def krein_check(ws, s, q):
     """Whether an idempotent has range ``s`` and kernel inside the weighted
-    complement of ``s``.
+    complement of ``s``, both within the angle tolerance ``TOL_ANGLE``.
 
     This pair of conditions singles out the canonical projection among all
-    idempotents onto ``s``.
+    idempotents onto ``s``.  One SVD of ``q`` gives its norm, range and
+    kernel.
 
     Raises
     ------
     NotIdempotent
-        If ``q`` is not a projection at tolerance ``1e-8`` (scaled by its
-        squared norm).
+        If ``q`` is not a projection at ``TOL_IDEM`` (scaled by its squared
+        norm).
     """
     m = as_matrix(q, ws)
-    scale = max(1.0, _spec_norm(m)) ** 2
-    if _spec_norm(m @ m - m) > 1e-8 * scale:
-        raise NotIdempotent("candidate matrix is not a projection")
     u, sv, vh = la.svd(m)
+    scale = max(1.0, float(sv[0])) ** 2
+    if _spec_norm(m @ m - m) > TOL_IDEM * scale:
+        raise NotIdempotent("candidate matrix is not a projection")
     rank = int(np.sum(sv > 0.5))
     rng = Subspace(u[:, :rank], ws)
     ker = Subspace(vh[rank:].conj().T, ws)
-    if not subspace_equal(rng, s, tol):
+    if not subspace_equal(rng, s):
         return False
-    return subspace_contained(ker, s.complement, tol)
+    return subspace_contained(ker, s.complement)
 
 
 def buckholtz_verify(ws, s, t):
@@ -275,9 +275,9 @@ def companion_transport(ws, s, t, t1):
         raise ArithmeticError(
             f"transport adjoint disagrees with its closed form ({res:.3e})"
         )
-    if s.rank and not subspace_equal(span(ws, g @ s.basis), s, TOL_ANGLE):
+    if s.rank and not subspace_equal(span(ws, g @ s.basis), s):
         raise ArithmeticError("transport moved the fixed subspace")
-    if t.rank and not subspace_equal(span(ws, g @ t.basis), t1, TOL_ANGLE):
+    if t.rank and not subspace_equal(span(ws, g @ t.basis), t1):
         raise ArithmeticError("transport missed the target companion")
     return Operator(g, ws)
 

@@ -55,15 +55,14 @@ def random_pd_weight(rng, n):
     return (a + a.conj().T) / 2.0
 
 
-def random_space(rng, n, enorm="euclid"):
-    if enorm == "trace":
-        return make_space(n, np.eye(n), "trace")
+def random_space(rng, n):
+    """Euclidean-tag space of dimension n with a :func:`random_pd_weight`."""
     return make_space(n, random_pd_weight(rng, n), "euclid")
 
 
-def random_operator(rng, ws, scale=1.0):
+def random_operator(rng, ws):
     """Complex Gaussian matrix on the space."""
-    return scale * _complex_gauss(rng, ws.dim, ws.dim)
+    return _complex_gauss(rng, ws.dim, ws.dim)
 
 
 def random_subspace(rng, ws, r):

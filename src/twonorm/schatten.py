@@ -53,6 +53,12 @@ __all__ = [
     "adz_norm_check",
 ]
 
+# eigenvalue separation deciding Sylvester solvability; absolute, not
+# scaled by |c| + |d|
+TOL_SPEC = 1e-8
+# slack of the trace-norm estimate over |z|^2 in adz_norm_check; absolute
+TOL_ADZ = 1e-6
+
 
 @dataclass(frozen=True)
 class MatrixSpaceModel:
@@ -182,9 +188,7 @@ def z_criterion_margin(z):
     """
     z = np.asarray(z, dtype=complex)
     lam = la.eigvals(z)
-    pair = min(
-        abs(1.0 + np.conj(l) * mu) for l in lam for mu in lam
-    )
+    pair = np.abs(1.0 + np.multiply.outer(np.conj(lam), lam)).min()
     k = z.shape[0]
     flat = np.eye(k * k) + np.kron(z.T, z.conj().T)
     return ZCriterionReport(
@@ -193,11 +197,11 @@ def z_criterion_margin(z):
     )
 
 
-def sylvester(c, d, w, force=False, tol_spec=1e-8):
+def sylvester(c, d, w, force=False):
     """Solve ``c x - x d = w`` through the flattened linear system.
 
     Solvability is decided by spectral disjointness of ``c`` and ``d`` at
-    ``tol_spec``; the margin reported is the smallest singular value of
+    ``TOL_SPEC``; the margin reported is the smallest singular value of
     the flattened map, which vanishes exactly when the spectra meet.
 
     Parameters
@@ -226,8 +230,8 @@ def sylvester(c, d, w, force=False, tol_spec=1e-8):
     margin = float(la.svdvals(flat)[-1])
     ev_c = la.eigvals(c)
     ev_d = la.eigvals(d)
-    min_sep = min(abs(a - b) for a in ev_c for b in ev_d)
-    solvable = bool(min_sep > tol_spec)
+    min_sep = np.abs(np.subtract.outer(ev_c, ev_d)).min()
+    solvable = bool(min_sep > TOL_SPEC)
     if not solvable:
         if force:
             raise SingularSystem(
@@ -329,12 +333,12 @@ def two_companions_demo(model, z, t):
     )
 
 
-def adz_norm_check(model, z, tol=1e-6):
+def adz_norm_check(model, z):
     """Norms of the conjugation map against the squared norm of ``z``.
 
     The Frobenius-coordinate operator norm equals ``|z|^2`` exactly; the
     trace-norm value from the ascent estimator is a lower bound and must
-    stay below ``|z|^2 + tol``.
+    stay below ``|z|^2 + TOL_ADZ``.
 
     Returns
     -------
@@ -349,7 +353,7 @@ def adz_norm_check(model, z, tol=1e-6):
             "Frobenius norm of the conjugation drifted from |z|^2"
         )
     est = trace_opnorm_estimate(model.ws, op.matrix)
-    if est > znorm_sq + tol:
+    if est > znorm_sq + TOL_ADZ:
         raise ArithmeticError(
             f"trace-norm estimate {est:.6g} exceeds |z|^2 = {znorm_sq:.6g}"
         )

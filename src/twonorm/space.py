@@ -19,6 +19,7 @@ norm by ``min(|T+T|_E, |TT+|_E)`` all live here.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -44,9 +45,18 @@ __all__ = [
     "trace_opnorm_estimate",
 ]
 
+# smallest admissible weight eigenvalue; absolute, the weight has norm <= 1
 TOL_PD = 1e-12
+# entrywise distance of a trace-tag weight from the identity; absolute
 TOL_HERM = 1e-12
+# slack on the weight's norm cap of one; absolute
 TOL_CAP = 1e-12
+# slack on lhs <= rhs in gz_bound_check; absolute, not scaled by |T|
+TOL_GZ = 1e-10
+# |T+ - T|_E in is_symmetrizable; relative to 1 + |T|_E
+TOL_SYM = 1e-10
+# |G* A G - A|_2 in is_L_isometric; absolute, the weight has norm <= 1
+TOL_ISO = 1e-8
 
 # Defaults for the rank-one ascent estimator of trace-tag operator norms.
 ESTIMATE_RESTARTS = 50
@@ -173,14 +183,10 @@ class Operator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
+    @cached_property
     def plus(self):
         """The plus-adjoint as an :class:`Operator` on the same space."""
-        cached = getattr(self, "_plus_cache", None)
-        if cached is None:
-            cached = Operator(self.space.plus_matrix(self.matrix), self.space)
-            object.__setattr__(self, "_plus_cache", cached)
-        return cached
+        return Operator(self.space.plus_matrix(self.matrix), self.space)
 
 
 @dataclass(frozen=True)
@@ -197,12 +203,12 @@ class GzReport:
     advisory: bool = False
 
 
-def as_matrix(t, ws=None):
-    """Accept an :class:`Operator` or a raw array and return the matrix."""
+def as_matrix(t, ws):
+    """Accept an :class:`Operator` or a raw array on ``ws`` and return the
+    matrix."""
     if isinstance(t, Operator):
         return t.matrix
-    n = ws.dim if ws is not None else None
-    return _as_matrix(t, n, "operator matrix")
+    return _as_matrix(t, ws.dim, "operator matrix")
 
 
 def make_space(n, weight, enorm="euclid"):
@@ -381,11 +387,11 @@ def proper_norm(ws, t):
     return opnorm(ws, t, "E") + opnorm(ws, t.plus, "E")
 
 
-def gz_bound_check(ws, t, tol=1e-10):
+def gz_bound_check(ws, t):
     """Check the classical bound of the weighted extension norm.
 
     Compares ``|T|_L`` against ``min(|T+ T|_E, |T T+|_E)`` and reports
-    whether ``lhs <= rhs + tol``.  Under the trace tag the right-hand side
+    whether ``lhs <= rhs + TOL_GZ``.  Under the trace tag the right-hand side
     uses the ascent estimator, so ``holds`` is advisory there.
 
     Returns
@@ -397,26 +403,26 @@ def gz_bound_check(ws, t, tol=1e-10):
     lhs = opnorm(ws, m, "L")
     rhs = min(opnorm(ws, mp @ m, "E"), opnorm(ws, m @ mp, "E"))
     advisory = ws.enorm == "trace"
-    return GzReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol),
+    return GzReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + TOL_GZ),
                     advisory=advisory)
 
 
-def is_symmetrizable(ws, t, tol=1e-10):
+def is_symmetrizable(ws, t):
     """True when the operator agrees with its plus-adjoint.
 
-    The comparison is ``|T+ - T|_E <= tol * (1 + |T|_E)``.
+    The comparison is ``|T+ - T|_E <= TOL_SYM * (1 + |T|_E)``.
     """
     m = as_matrix(t, ws)
     gap = opnorm(ws, ws.plus_matrix(m) - m, "E")
-    return bool(gap <= tol * (1.0 + opnorm(ws, m, "E")))
+    return bool(gap <= TOL_SYM * (1.0 + opnorm(ws, m, "E")))
 
 
-def is_L_isometric(ws, g, tol=1e-8):
+def is_L_isometric(ws, g):
     """True when the operator preserves the weighted inner product.
 
-    Checked as ``|G* A G - A|_2 <= tol``; such operators are exactly the
+    Checked as ``|G* A G - A|_2 <= TOL_ISO``; such operators are exactly the
     ones whose weighted extension is a Hilbert-space isometry.
     """
     m = as_matrix(g, ws)
     a = ws.weight
-    return bool(_spec_norm(m.conj().T @ a @ m - a) <= tol)
+    return bool(_spec_norm(m.conj().T @ a @ m - a) <= TOL_ISO)

@@ -20,7 +20,7 @@ import scipy.linalg as la
 
 from .errors import ContourTooClose, NotIdempotent, NotIsolated
 from .space import Operator, as_matrix, _spec_norm
-from .subspaces import ProjPair, Subspace
+from .subspaces import TOL_IDEM, ProjPair, Subspace
 
 __all__ = [
     "SpectrumReport",
@@ -31,6 +31,7 @@ __all__ = [
     "vvplus_diagnostics",
 ]
 
+# eigenvalue matching and clustering distance; relative to 1 + |T|_2
 MATCH_TOL = 1e-8
 
 
@@ -46,13 +47,6 @@ class SpectrumReport:
     algebra: str
     values: np.ndarray
     gaps: np.ndarray
-
-    def to_json_dict(self):
-        return {
-            "algebra": self.algebra,
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-            "gaps": [float(g) for g in self.gaps],
-        }
 
 
 @dataclass(frozen=True)
@@ -74,34 +68,27 @@ class VVPlusReport:
 
 def _greedy_match(base, other, tol):
     """Match ``other`` into ``base`` greedily; return indices of unmatched
-    entries of ``other``."""
-    used = np.zeros(len(base), dtype=bool)
+    entries of ``other``.
+
+    Each entry of ``other`` in turn takes the nearest unused entry of
+    ``base``, the first one on a tie, when it lies within ``tol``.
+    """
+    dist = np.abs(np.subtract.outer(base, other))
     unmatched = []
-    for j, y in enumerate(other):
-        best, best_d = -1, np.inf
-        for i, x in enumerate(base):
-            if used[i]:
-                continue
-            d = abs(x - y)
-            if d < best_d:
-                best, best_d = i, d
-        if best >= 0 and best_d <= tol:
-            used[best] = True
+    for j in range(len(other)):
+        i = int(np.argmin(dist[:, j]))
+        if dist[i, j] <= tol:
+            dist[i] = np.inf  # base entry i is used up
         else:
             unmatched.append(j)
     return unmatched
 
 
 def _isolation_gaps(values, cluster_tol):
-    gaps = np.full(len(values), np.inf)
-    for i, v in enumerate(values):
-        for j, w in enumerate(values):
-            if j == i:
-                continue
-            d = abs(v - w)
-            if d > cluster_tol:
-                gaps[i] = min(gaps[i], d)
-    return gaps
+    """Distance from each value to the nearest one farther than
+    ``cluster_tol``; infinity when there is none."""
+    dist = np.abs(np.subtract.outer(values, values))
+    return np.where(dist > cluster_tol, dist, np.inf).min(axis=1)
 
 
 def spectrum(ws, t, algebra="E"):
@@ -130,13 +117,13 @@ def spectrum(ws, t, algebra="E"):
         values = ev
     elif algebra == "L":
         values = np.sort_complex(la.eigvals(ws.l_coords(m)))
-        if _greedy_match(list(ev), list(values), tol):
+        if _greedy_match(ev, values, tol):
             raise ArithmeticError(
                 "weighted-coordinate eigenvalues drifted from ambient ones"
             )
     elif algebra == "P":
         ev_plus_conj = np.conj(la.eigvals(ws.plus_matrix(m)))
-        extra_idx = _greedy_match(list(ev), list(ev_plus_conj), tol)
+        extra_idx = _greedy_match(ev, ev_plus_conj, tol)
         values = np.sort_complex(
             np.concatenate([ev, ev_plus_conj[extra_idx]])
         )
@@ -226,7 +213,7 @@ def riesz_projection(ws, t, lam, eps, m=64):
     return pair, diag
 
 
-def vvplus_diagnostics(ws, q, tol_idem=1e-8):
+def vvplus_diagnostics(ws, q):
     """Diagnostics of ``V = 2Q - I`` for a projection ``Q``.
 
     ``V V+`` is similar to a positive definite matrix, so its spectrum is
@@ -237,12 +224,12 @@ def vvplus_diagnostics(ws, q, tol_idem=1e-8):
     Raises
     ------
     NotIdempotent
-        If ``q`` fails the projection test at ``tol_idem`` (scaled by its
+        If ``q`` fails the projection test at ``TOL_IDEM`` (scaled by its
         squared norm).
     """
     m = as_matrix(q, ws)
     scale = max(1.0, _spec_norm(m)) ** 2
-    if _spec_norm(m @ m - m) > tol_idem * scale:
+    if _spec_norm(m @ m - m) > TOL_IDEM * scale:
         raise NotIdempotent("candidate matrix is not a projection")
     v = 2.0 * m - np.eye(ws.dim)
     v_plus = ws.plus_matrix(v)

@@ -50,10 +50,17 @@ __all__ = [
     "subspace_equal",
 ]
 
+# rank cut for singular values, relative to the largest; gram_schmidt_L
+# applies it to weighted lengths
 TOL_RANK = 1e-10
+# smallest singular value of stacked orthonormal bases; absolute, in [0, 1]
 TOL_GAP = 1e-10
+# largest principal angle, in radians; scale-free
 TOL_ANGLE = 1e-8
+# entrywise deviation of the weighted cross-Gram from I; absolute
 TOL_BIO = 1e-8
+# |Q^2 - Q|_2 of a candidate projection; relative to max(1, |Q|_2)^2
+TOL_IDEM = 1e-8
 
 
 @dataclass(frozen=True)
@@ -141,17 +148,16 @@ def _vectors_as_columns(ws, vectors):
     return np.stack(vecs, axis=1)
 
 
-def span(ws, vectors, tol_rank=TOL_RANK):
+def span(ws, vectors):
     """Orthonormalized span of a family of vectors.
 
-    Rank decisions truncate singular values below ``tol_rank`` relative to
+    Rank decisions truncate singular values below ``TOL_RANK`` relative to
     the largest one.  An empty family yields the zero subspace.
 
     Parameters
     ----------
     ws : WeightedSpace
     vectors : sequence of vectors or (n, m) ndarray
-    tol_rank : float
 
     Returns
     -------
@@ -163,7 +169,7 @@ def span(ws, vectors, tol_rank=TOL_RANK):
     u, s, _ = la.svd(cols, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace(np.zeros((ws.dim, 0), dtype=complex), ws)
-    r = int(np.sum(s > tol_rank * s[0]))
+    r = int(np.sum(s > TOL_RANK * s[0]))
     return Subspace(u[:, :r], ws)
 
 
@@ -251,20 +257,21 @@ def max_principal_angle(s1, s2):
     return float(ang.max()) if ang.size else 0.0
 
 
-def subspace_contained(inner, outer, tol=TOL_ANGLE):
-    """True when ``inner`` sits inside ``outer`` at the angle tolerance."""
+def subspace_contained(inner, outer):
+    """True when ``inner`` sits inside ``outer`` at ``TOL_ANGLE``."""
     if inner.rank == 0:
         return True
     if inner.rank > outer.rank:
         return False
-    return max_principal_angle(inner, outer) <= tol
+    return max_principal_angle(inner, outer) <= TOL_ANGLE
 
 
-def subspace_equal(s1, s2, tol=TOL_ANGLE):
-    """Equality as subspaces: same dimension, all principal angles small."""
+def subspace_equal(s1, s2):
+    """Equality as subspaces: same dimension, all principal angles at most
+    ``TOL_ANGLE``."""
     if s1.rank != s2.rank:
         return False
-    return max_principal_angle(s1, s2) <= tol
+    return max_principal_angle(s1, s2) <= TOL_ANGLE
 
 
 def _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub):
@@ -288,10 +295,10 @@ def _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub):
     rank = range_sub.rank
     if rank not in (0, n):
         got = Subspace(u[:, :rank], ws)
-        if not subspace_equal(got, range_sub, TOL_ANGLE):
+        if not subspace_equal(got, range_sub):
             raise ArithmeticError("projection range drifted from its subspace")
         ker = Subspace(vh[rank:].conj().T, ws)
-        if not subspace_equal(ker, null_sub, TOL_ANGLE):
+        if not subspace_equal(ker, null_sub):
             raise ArithmeticError("projection kernel drifted from its subspace")
 
 
@@ -301,7 +308,7 @@ def _block_solve_projection(s, t):
     return s.basis @ inv[: s.rank]
 
 
-def oblique_projection(ws, s, t, tol_gap=TOL_GAP):
+def oblique_projection(ws, s, t):
     """Projection with prescribed range and nullspace, plus its adjoint.
 
     The matrix is obtained by solving against the stacked bases, never by a
@@ -315,7 +322,7 @@ def oblique_projection(ws, s, t, tol_gap=TOL_GAP):
     ws : WeightedSpace
     s, t : Subspace
         Must split the space: dimensions adding to ``n`` and a stacked-basis
-        gap above ``tol_gap``.
+        gap above ``TOL_GAP``.
 
     Returns
     -------
@@ -328,9 +335,9 @@ def oblique_projection(ws, s, t, tol_gap=TOL_GAP):
     """
     svals = _stacked_svals(s, t)
     gap = float(svals[-1])
-    if gap <= tol_gap:
+    if gap <= TOL_GAP:
         raise NotComplementary(
-            f"pair does not split the space (gap {gap:.3e} <= {tol_gap:.0e})"
+            f"pair does not split the space (gap {gap:.3e} <= {TOL_GAP:.0e})"
         )
     kappa = float(svals[0] / svals[-1])
     p = _block_solve_projection(s, t)
@@ -359,7 +366,7 @@ def is_proper_companion(ws, s, t, tol_gap=TOL_GAP):
     return CompanionReport(gap=gap, complement_gap=comp_gap, ok=bool(ok))
 
 
-def gram_schmidt_L(ws, vectors, tol_rank=TOL_RANK):
+def gram_schmidt_L(ws, vectors):
     """Orthonormalize vectors in the weighted inner product.
 
     Modified Gram-Schmidt with one full reorthogonalization pass.  The
@@ -368,21 +375,21 @@ def gram_schmidt_L(ws, vectors, tol_rank=TOL_RANK):
     Raises
     ------
     DependentInput
-        If some vector loses all but ``tol_rank`` of its weighted length to
-        the span of its predecessors.
+        If some vector has weighted length at most ``TOL_RANK``, or loses all
+        but that fraction of it to the span of its predecessors.
     """
     cols = _vectors_as_columns(ws, vectors)
     out = []
     for j in range(cols.shape[1]):
         v = cols[:, j].copy()
         original = ws.lnorm_vec(v)
-        if original <= tol_rank:
+        if original <= TOL_RANK:
             raise DependentInput(f"vector {j} has negligible weighted length")
         for _ in range(2):
             for q in out:
                 v = v - ws.inner(v, q) * q
         norm = ws.lnorm_vec(v)
-        if norm <= tol_rank * original:
+        if norm <= TOL_RANK * original:
             raise DependentInput(
                 f"vector {j} is dependent on its predecessors"
             )
@@ -390,7 +397,7 @@ def gram_schmidt_L(ws, vectors, tol_rank=TOL_RANK):
     return np.stack(out, axis=1) if out else np.zeros((ws.dim, 0), complex)
 
 
-def finite_rank_proper_projection(ws, f_list, h_list, tol_bio=TOL_BIO):
+def finite_rank_proper_projection(ws, f_list, h_list):
     """Finite-rank idempotent ``x -> sum_i <x, h_i>_L f_i``.
 
     The families must be weighted-biorthogonal (``<f_i, h_j>_L = delta_ij``);
@@ -406,7 +413,7 @@ def finite_rank_proper_projection(ws, f_list, h_list, tol_bio=TOL_BIO):
     Raises
     ------
     BiorthogonalityViolated
-        If the cross-Gram of the families is not the identity at ``tol_bio``.
+        If the cross-Gram of the families is not the identity at ``TOL_BIO``.
     """
     f = _vectors_as_columns(ws, f_list)
     h = _vectors_as_columns(ws, h_list)
@@ -415,7 +422,7 @@ def finite_rank_proper_projection(ws, f_list, h_list, tol_bio=TOL_BIO):
     m = f.shape[1]
     gram = h.conj().T @ ws.weight @ f
     dev = np.abs(gram - np.eye(m)).max() if m else 0.0
-    if dev > tol_bio:
+    if dev > TOL_BIO:
         raise BiorthogonalityViolated(
             f"cross-Gram deviates from identity by {dev:.3e}"
         )
@@ -433,12 +440,13 @@ def finite_rank_proper_projection(ws, f_list, h_list, tol_bio=TOL_BIO):
     return ProjPair(Operator(p, ws), Operator(p_plus, ws), range_sub, null_sub)
 
 
-def nullspace_plus_check(ws, t, tol=TOL_ANGLE):
+def nullspace_plus_check(ws, t):
     """Kernel/range duality of the plus-adjoint, in principal angles.
 
     Checks that the kernel of ``T+`` is the weighted complement of the range
     of ``T`` and that the range of ``T+`` is the weighted complement of the
-    kernel of ``T``.  Reports the largest principal angle of each pair.
+    kernel of ``T``.  Reports the largest principal angle of each pair;
+    ``ok`` holds when both are at most ``TOL_ANGLE``.
     """
     m = as_matrix(t, ws)
     m_range, m_null = _range_kernel(ws, m)
@@ -450,5 +458,5 @@ def nullspace_plus_check(ws, t, tol=TOL_ANGLE):
     return NullspacePlusReport(
         null_angle=float(ang1),
         range_angle=float(ang2),
-        ok=bool(ang1 <= tol and ang2 <= tol),
+        ok=bool(ang1 <= TOL_ANGLE and ang2 <= TOL_ANGLE),
     )

@@ -1,0 +1,47 @@
+"""Package hygiene: every module-level import in ``src/twonorm`` is used."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twonorm"
+
+
+def _unused_imports(path):
+    """Names bound by the module's top-level imports that the module never
+    reads.  Star imports, names listed in ``__all__`` and imports marked
+    ``noqa: F401`` (the package's re-exports) are exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            if alias.name != "*":
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}"
+                  for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_module_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    unused = [hit for path in modules for hit in _unused_imports(path)]
+    assert unused == []
+
+
+def test_unused_import_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import os\nimport sys as system\n"
+                   "from math import pi, tau\n\nprint(tau, system)\n")
+    assert _unused_imports(mod) == ["mod.py:1 os", "mod.py:3 pi"]

@@ -109,6 +109,17 @@ def test_z_criterion_frozen_values():
     assert rep.op_margin == pytest.approx(5.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("trial", range(10))
+def test_z_criterion_pair_margin_agrees_with_the_pairwise_loop(trial):
+    rng = rand.trial_rng(37, trial)
+    z = rand._complex_gauss(rng, 4, 4)
+    lam = la.eigvals(z)
+    ref = min(abs(1.0 + np.conj(l) * mu) for l in lam for mu in lam)
+    # the broadcast product may round differently from the scalar one
+    bound = 4 * np.finfo(float).eps * (1.0 + np.abs(lam).max() ** 2)
+    assert abs(tn.z_criterion_margin(z).pair_margin - ref) <= bound
+
+
 def test_z_criterion_margins_agree_for_normal_coefficients():
     for trial in range(10):
         rng = rand.trial_rng(41, 100 + trial)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import twonorm as tn
-from twonorm import rand
+from twonorm import rand, spectra
 from twonorm.errors import ContourTooClose, NotIdempotent, NotIsolated
 from twonorm.space import _spec_norm
 
@@ -59,10 +59,57 @@ def test_spectrum_rejects_unknown_algebra():
         tn.spectrum(ws, np.eye(2), "Q")
 
 
-def test_spectrum_json_dict_shape():
-    ws = euclid2()
-    d = tn.spectrum(ws, np.diag([1.0, 2.0]), "E").to_json_dict()
-    assert sorted(d) == ["algebra", "gaps", "values"]
+def _greedy_match_loop(base, other, tol):
+    """The pairwise loop the broadcast matcher replaced, kept as reference."""
+    used = [False] * len(base)
+    unmatched = []
+    for j, y in enumerate(other):
+        best, best_d = -1, np.inf
+        for i, x in enumerate(base):
+            if not used[i] and abs(x - y) < best_d:
+                best, best_d = i, abs(x - y)
+        if best >= 0 and best_d <= tol:
+            used[best] = True
+        else:
+            unmatched.append(j)
+    return unmatched
+
+
+def _isolation_gaps_loop(values, cluster_tol):
+    """The pairwise loop the broadcast gaps replaced, kept as reference."""
+    gaps = np.full(len(values), np.inf)
+    for i, v in enumerate(values):
+        for j, w in enumerate(values):
+            if j != i and abs(v - w) > cluster_tol:
+                gaps[i] = min(gaps[i], abs(v - w))
+    return gaps
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_matching_and_gaps_agree_with_the_pairwise_loops(trial):
+    rng = rand.trial_rng(31, trial)
+    n = int(rng.integers(1, 10))
+    # a few centres drawn with repeats, some nudged inside the tolerance and
+    # some far outside it, so that ties, clusters and misses all occur
+    centres = rand._complex_gauss(rng, 3)
+    nudge = rng.choice([0.0, 1e-9, 7e-9, 1e-6], size=(2, n))
+    base = centres[rng.integers(0, 3, n)] \
+        + nudge[0] * rand._complex_gauss(rng, n)
+    other = centres[rng.integers(0, 3, n)] \
+        + nudge[1] * rand._complex_gauss(rng, n)
+    tol = 1e-8
+    assert spectra._greedy_match(base, other, tol) \
+        == _greedy_match_loop(base, other, tol)
+    # array and scalar complex abs may differ by one ulp
+    np.testing.assert_allclose(spectra._isolation_gaps(base, tol),
+                               _isolation_gaps_loop(base, tol),
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_greedy_match_breaks_ties_towards_the_first_entry():
+    # 1 is equidistant from 0 and 2; taking 0 leaves 2 too far for 0
+    assert spectra._greedy_match(np.array([0.0, 2.0]),
+                                 np.array([1.0, 0.0]), 1.5) == [1]
 
 
 def test_riesz_frozen_diagonal():
