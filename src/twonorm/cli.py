@@ -89,9 +89,10 @@ def _suite_adjoint(rng, dim):
     ws = rand.random_space(rng, dim)
     t = rand.random_operator(rng, ws)
     tp = ws.plus_matrix(t)
-    scale = _spec_norm(t) * _spec_norm(np.asarray(ws.weight))
+    t_norm = _spec_norm(t)
+    scale = t_norm * _spec_norm(np.asarray(ws.weight))
     identity_res = np.abs(ws.weight @ t - tp.conj().T @ ws.weight).max() / scale
-    invol_res = _spec_norm(ws.plus_matrix(tp) - t) / _spec_norm(t)
+    invol_res = _spec_norm(ws.plus_matrix(tp) - t) / t_norm
     return max(float(identity_res), float(invol_res))
 
 
@@ -157,14 +158,11 @@ def _suite_lemma(rng, dim):
 def _suite_spectra(rng, dim):
     ws = rand.random_space(rng, dim)
     t = rand.random_operator(rng, ws)
-    ev_e = spectra.spectrum(ws, t, "E").values
-    ev_p = spectra.spectrum(ws, t, "P").values
-    spectra.spectrum(ws, t, "L")
-    if len(ev_e) != len(ev_p):
-        return 1.0
-    scale = 1.0 + _spec_norm(t)
-    return float(np.abs(np.sort_complex(ev_e) - np.sort_complex(ev_p)).max()
-                 / scale)
+    p = spectra.spectrum(ws, t, "P")
+    spectra.spectrum(ws, t, "L")  # raises if the weighted eigenvalues drift
+    # P's values are the ambient ones bit for bit unless some conjugated
+    # plus-adjoint eigenvalue went unmatched and was added
+    return 0.0 if len(p.values) == dim else 1.0
 
 
 _SUITES = {

@@ -26,12 +26,12 @@ from .errors import IllConditionedWarning, NotIdempotent, RangeOverlap
 from .space import Operator, as_matrix, opnorm, proper_norm, _spec_norm
 from .subspaces import (
     TOL_IDEM,
-    Subspace,
     ProjPair,
     oblique_projection,
     span,
     subspace_contained,
     subspace_equal,
+    _projection_range_kernel,
     _validate_idempotent_pair,
 )
 
@@ -199,13 +199,10 @@ def krein_check(ws, s, q):
         norm).
     """
     m = as_matrix(q, ws)
-    u, sv, vh = la.svd(m)
-    scale = max(1.0, float(sv[0])) ** 2
+    norm, rng, ker = _projection_range_kernel(ws, m)
+    scale = max(1.0, norm) ** 2
     if _spec_norm(m @ m - m) > TOL_IDEM * scale:
         raise NotIdempotent("candidate matrix is not a projection")
-    rank = int(np.sum(sv > 0.5))
-    rng = Subspace(u[:, :rank], ws)
-    ker = Subspace(vh[rank:].conj().T, ws)
     if not subspace_equal(rng, s):
         return False
     return subspace_contained(ker, s.complement)

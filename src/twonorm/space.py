@@ -152,11 +152,6 @@ class WeightedSpace:
         core = (core * ev[np.newaxis, :]) / ev[:, np.newaxis]
         return u @ core @ u.conj().T
 
-    def solve_weight(self, rhs):
-        """A^{-1} rhs via the cached eigendecomposition."""
-        u, ev = self._evecs, self._evals
-        return u @ ((u.conj().T @ rhs) / ev[:, np.newaxis])
-
     def l_coords(self, m):
         """Similarity A^{1/2} M A^{-1/2} expressing M in L-orthonormal
         coordinates (up to a unitary factor that leaves norms alone)."""

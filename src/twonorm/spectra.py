@@ -20,7 +20,7 @@ import scipy.linalg as la
 
 from .errors import ContourTooClose, NotIdempotent, NotIsolated
 from .space import Operator, as_matrix, _spec_norm
-from .subspaces import TOL_IDEM, ProjPair, Subspace
+from .subspaces import TOL_IDEM, ProjPair, _projection_range_kernel
 
 __all__ = [
     "SpectrumReport",
@@ -200,15 +200,12 @@ def riesz_projection(ws, t, lam, eps, m=64):
     q_plus_contour = _contour_sum(
         ws.plus_matrix(mat), complex(lam).conjugate(), float(eps), nodes
     )
-    u, sv, vh = la.svd(q)
-    r = int(np.sum(sv > 0.5))
+    _, range_sub, null_sub = _projection_range_kernel(ws, q)
     diag = RieszDiagnostics(
         idempotency_res=_spec_norm(q @ q - q),
         plus_res=_spec_norm(q_plus - q_plus_contour),
-        range_dim=r,
+        range_dim=range_sub.rank,
     )
-    range_sub = Subspace(u[:, :r], ws)
-    null_sub = Subspace(vh[r:].conj().T, ws)
     pair = ProjPair(Operator(q, ws), Operator(q_plus, ws), range_sub, null_sub)
     return pair, diag
 

@@ -75,7 +75,7 @@ class Subspace:
     :func:`principal_angles` relies on that without checking it.  Every
     constructor in the package establishes it: :func:`span` and the range
     and kernel bases of projections and of the kernel checks take singular
-    vectors, :func:`complement_L` takes ``orth`` (or the identity), and
+    vectors, :func:`complement_L` takes the unitary factor of a QR, and
     :func:`twonorm.matio.load_subspace` re-orthonormalizes what it reads.
     Build one directly only from orthonormal columns; :func:`span` accepts
     any family of vectors.
@@ -184,25 +184,32 @@ def _range_kernel(ws, mat):
     return Subspace(u[:, :r], ws), Subspace(vh[r:].conj().T, ws)
 
 
+def _projection_range_kernel(ws, mat):
+    """Spectral norm, range and kernel of a candidate projection, from one
+    full SVD.
+
+    Every nonzero singular value of an idempotent is at least one, so the
+    rank counts the singular values above ``0.5``; the caller decides
+    whether the matrix is idempotent at all.
+    """
+    u, sv, vh = la.svd(mat)
+    r = int(np.sum(sv > 0.5))
+    return float(sv[0]), Subspace(u[:, :r], ws), Subspace(vh[r:].conj().T, ws)
+
+
 def complement_L(ws, s):
     """Weighted orthogonal complement of a subspace, inside the space.
 
-    A vector is weighted-orthogonal to ``S`` exactly when its image under
-    the weight is Euclidean-orthogonal to ``S``, so the complement is the
-    inverse weight applied to the Euclidean complement, re-orthonormalized.
-    Its dimension is ``n - dim S``.
+    ``x`` is weighted-orthogonal to ``S`` exactly when ``(A B_S)* x = 0``,
+    so the complement is spanned by the trailing ``n - dim S`` columns of
+    the unitary factor of one full QR of ``A B_S`` (Golub & Van Loan,
+    *Matrix Computations*, 5.2): its dimension is exact, with no rank cut.
 
     Every call recomputes the complement; :attr:`Subspace.complement`
     computes it once per subspace and is what the package itself uses.
     """
-    n = ws.dim
-    if s.rank == 0:
-        return Subspace(np.eye(n), ws)
-    if s.rank == n:
-        return Subspace(np.zeros((n, 0)), ws)
-    ortho = la.null_space(s.basis.conj().T)
-    raw = ws.solve_weight(ortho)
-    return Subspace(la.orth(raw), ws)
+    q, _ = la.qr(ws.weight @ s.basis)
+    return Subspace(q[:, s.rank:], ws)
 
 
 def _stacked_svals(s, t):

@@ -53,6 +53,23 @@ def test_diverge_study_frozen_first_row():
     assert row.aux == {}
 
 
+@pytest.mark.parametrize("beta", [0.25, 0.3, 0.4, 0.5])
+def test_diverge_rows_match_the_closed_form(beta):
+    """The canonical projection onto the hyperplane weighted-orthogonal to
+    ``g`` is ``I - g (g* A g)^{-1} g* A``, a rank-one change of the identity
+    with norm ``a = |g| |A g| / (g* A g)``.  ``C = 2Q - I`` then has
+    smallest singular value ``1 / (a + sqrt(a^2 - 1))``."""
+    rows = tn.diverging_vector_study([8, 16, 32, 64, 128], beta)
+    for row in rows:
+        idx = np.arange(1, row.n + 1, dtype=float)
+        g = idx ** (-beta)
+        ag = g / idx ** 2
+        a = np.linalg.norm(g) * np.linalg.norm(ag) / (g @ ag)
+        margin = 1.0 / (a + np.sqrt((a - 1.0) * (a + 1.0)))
+        assert abs(row.q_norm - a) <= 1e-14 * a
+        assert abs(row.margin_c - margin) <= 1e-14 * margin
+
+
 def test_diverge_control_keeps_q_norm_flat():
     rows = tn.diverging_vector_study([8, 16, 32, 64], 0.5, control=True)
     qs = [row.q_norm for row in rows]
@@ -94,7 +111,7 @@ def test_csv_layout():
     text = studies.rows_to_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == "n,margin_c,q_norm,g_enorm"
-    assert lines[1] == "8,0.4182440633891782,1.404596262573864,1.648592473250179"
+    assert lines[1] == "8,0.41824406338917597,1.4045962625738677,1.648592473250179"
 
 
 def test_csv_appends_sorted_aux_columns():

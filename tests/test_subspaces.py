@@ -21,6 +21,27 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
 
+def _count_calls(monkeypatch, names):
+    """Wrap each named function of each module so that calls are counted;
+    return the dict of counts, keyed ``module.name``."""
+    calls = {}
+
+    def wrap(owner, name):
+        fn = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, fns in names.items():
+        for name in fns:
+            wrap(owner, name)
+    return calls
+
+
 def euclid2():
     return tn.make_space(2, np.eye(2))
 
@@ -90,6 +111,44 @@ def test_complement_of_zero_and_full():
     assert tn.complement_L(ws, full).rank == 0
 
 
+@st.composite
+def _complement_draw(draw):
+    """Dimension n <= 10, a rank in [0, n] and a seed for the draws."""
+    n = draw(st.integers(1, 10))
+    return n, draw(st.integers(0, n)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_complement_draw())
+def test_complement_properties_down_to_the_weight_floor(drawn):
+    """Dimension n - r, orthonormal columns and weighted orthogonality to
+    working precision, under weights whose eigenvalues are log-uniform
+    down to 1e-11, just above the positive-definiteness floor."""
+    n, r, seed = drawn
+    rng = np.random.default_rng(seed)
+    u = rand.haar_unitary(rng, n)
+    d = np.exp(rng.uniform(np.log(1e-11), 0.0, size=n))
+    ws = tn.make_space(n, (u * (d / d.max())) @ u.conj().T)
+    s = rand.random_subspace(rng, ws, r)
+    comp = tn.complement_L(ws, s)
+    b = comp.basis
+    assert comp.rank == n - r
+    assert _spec_norm(b.conj().T @ b - np.eye(n - r)) <= 1e-14
+    assert _spec_norm(b.conj().T @ ws.weight @ s.basis) <= 1e-14
+
+
+def test_complement_takes_one_qr(monkeypatch):
+    rng = rand.trial_rng(11, 52)
+    ws = rand.random_space(rng, 8)
+    s = rand.random_subspace(rng, ws, 3)
+    calls = _count_calls(monkeypatch, {
+        la: ("qr", "svd", "svdvals", "null_space", "orth"),
+        np.linalg: ("qr", "svd"),
+    })
+    tn.complement_L(ws, s)
+    assert calls == {"scipy.linalg.qr": 1}
+
+
 def test_direct_sum_gap_values():
     ws = euclid2()
     s = tn.span(ws, [E1])
@@ -151,22 +210,10 @@ def test_oblique_projection_factors_each_matrix_once(monkeypatch):
     rng = rand.trial_rng(11, 51)
     ws = rand.random_space(rng, 8)
     s, t = rand.random_companion_pair(rng, ws, 3)
-    calls = {}
-
-    def count(owner, name):
-        fn = getattr(owner, name)
-        key = f"{owner.__name__}.{name}"
-
-        def counted(*args, **kwargs):
-            calls[key] = calls.get(key, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    for name in ("svd", "svdvals", "null_space", "orth", "subspace_angles"):
-        count(la, name)
-    for name in ("svd", "svdvals", "cond"):
-        count(np.linalg, name)
+    calls = _count_calls(monkeypatch, {
+        la: ("svd", "svdvals", "null_space", "orth", "subspace_angles"),
+        np.linalg: ("svd", "svdvals", "cond"),
+    })
     tn.oblique_projection(ws, s, t)
     # the angles are small, so neither check factors its cross-Gram
     assert calls == {"scipy.linalg.svdvals": 1, "scipy.linalg.svd": 1,
