@@ -30,7 +30,7 @@ from .errors import (
     SingularSystem,
     TwoNormError,
 )
-from .space import gz_bound_check, make_space, _spec_norm
+from .space import Operator, gz_bound_check, make_space, _spec_norm
 
 __all__ = ["main"]
 
@@ -118,9 +118,9 @@ def _suite_compat(rng, dim):
     s, t1 = rand.random_companion_pair(rng, ws, r)
     _, t2 = rand.random_companion_pair(rng, ws, r)
     rep1 = compat.compat_margin(ws, s, t1)
-    # the direct route never reads the companion, so one build validates the
-    # canonical projection; the two residuals bound its uniqueness
-    compat.compat_projection(ws, s, t1)
+    # the canonical projection depends on s alone, so one build validates it;
+    # each margin's residual checks it against its companion's C^{-1} P+
+    compat.compat_projection(ws, s)
     rep2 = compat.compat_margin(ws, s, t2)
     return max((rep.residual_cross or 0.0) / rep.kappa_c
                for rep in (rep1, rep2))
@@ -157,7 +157,8 @@ def _suite_lemma(rng, dim):
 
 def _suite_spectra(rng, dim):
     ws = rand.random_space(rng, dim)
-    t = rand.random_operator(rng, ws)
+    # one Operator, so both tags share its ambient eigenvalues and norm
+    t = Operator(rand.random_operator(rng, ws), ws)
     p = spectra.spectrum(ws, t, "P")
     spectra.spectrum(ws, t, "L")  # raises if the weighted eigenvalues drift
     # P's values are the ambient ones bit for bit unless some conjugated

@@ -117,51 +117,19 @@ def _lproj_matrix(ws, s):
     return b @ la.solve(gram, b.conj().T @ ws.weight, assume_a="pos")
 
 
-def _compat_data(ws, s, t):
-    """Shared worker: from one oblique projection and one SVD of ``C``, the
-    margin, ``kappa(C)``, the direct projection and the cross residual."""
-    if t is None:
-        t = s.complement
-    pair = oblique_projection(ws, s, t)
-    c = pair.p.matrix + pair.p_plus.matrix - np.eye(ws.dim)
-    svals = la.svdvals(c)
-    margin = float(svals[-1])
-    kappa_c = float(svals[0] / svals[-1]) if margin > 0.0 else np.inf
-    q_direct = _lproj_matrix(ws, s)
-    residual = None
-    if margin < 1e-12 * svals[0]:
-        warnings.warn(
-            "splitting operator is numerically singular; using the direct "
-            "projection route only",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
-    else:
-        q_formula = la.solve(c, pair.p_plus.matrix)
-        residual = _spec_norm(q_formula - q_direct)
-        agree_tol = 1e-9 * max(1.0, kappa_c) * max(1.0, ws.weight_cond)
-        if residual > agree_tol:
-            raise ArithmeticError(
-                f"projection routes disagree ({residual:.3e} > {agree_tol:.3e})"
-            )
-    return margin, kappa_c, q_direct, residual
-
-
-def compat_projection(ws, s, t=None):
+def compat_projection(ws, s):
     """Canonical plus-self-adjoint projection onto a subspace.
 
-    Built two ways: through the inverse of the splitting operator applied
-    to the adjoint of the oblique projection, and directly from the basis
-    and the weight.  The two must agree; the direct route is returned.
-    When ``t`` is omitted the weighted complement of ``s`` is used, in which
-    case the construction reduces to the weighted-orthogonal projection.
+    It is the weighted-orthogonal projection ``B (B* A B)^{-1} B* A``, so it
+    depends on ``s`` alone; :func:`compat_margin` cross-checks it against
+    ``C^{-1} P+`` built from a companion.
 
     Returns
     -------
     ProjPair
         With range ``s`` and nullspace the weighted complement of ``s``.
     """
-    _, _, q, _ = _compat_data(ws, s, t)
+    q = _lproj_matrix(ws, s)
     q_plus = ws.plus_matrix(q)
     _validate_idempotent_pair(ws, q, q_plus, s, s.complement)
     return ProjPair(Operator(q, ws), Operator(q_plus, ws), s, s.complement)
@@ -170,11 +138,40 @@ def compat_projection(ws, s, t=None):
 def compat_margin(ws, s, t=None):
     """Compatibility margin and canonical-projection norm for a subspace.
 
+    One oblique projection ``P`` onto ``s`` along ``t`` (by default the
+    weighted complement of ``s``) and one SVD of ``C = P + P+ - I`` give the
+    margin and ``kappa(C)``.  The canonical projection must agree with
+    ``C^{-1} P+``; that cross-check is skipped, with an
+    :class:`IllConditionedWarning`, when ``C`` is numerically singular.
+
     Returns
     -------
     CompatReport
     """
-    margin, kappa_c, q, residual = _compat_data(ws, s, t)
+    if t is None:
+        t = s.complement
+    pair = oblique_projection(ws, s, t)
+    c = pair.p.matrix + pair.p_plus.matrix - np.eye(ws.dim)
+    svals = la.svdvals(c)
+    margin = float(svals[-1])
+    kappa_c = float(svals[0] / svals[-1]) if margin > 0.0 else np.inf
+    q = _lproj_matrix(ws, s)
+    residual = None
+    if margin < 1e-12 * svals[0]:
+        warnings.warn(
+            "splitting operator is numerically singular; using the direct "
+            "projection route only",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
+    else:
+        q_formula = la.solve(c, pair.p_plus.matrix)
+        residual = _spec_norm(q_formula - q)
+        agree_tol = 1e-9 * max(1.0, kappa_c) * max(1.0, ws.weight_cond)
+        if residual > agree_tol:
+            raise ArithmeticError(
+                f"projection routes disagree ({residual:.3e} > {agree_tol:.3e})"
+            )
     return CompatReport(
         margin_c=margin,
         q_norm=opnorm(ws, q, "E"),

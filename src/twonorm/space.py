@@ -166,8 +166,9 @@ class WeightedSpace:
 class Operator:
     """A linear operator on a :class:`WeightedSpace`.
 
-    The plus-adjoint matrix is computed on first access and cached; the
-    instance is otherwise immutable.
+    The plus-adjoint, the sorted ambient eigenvalues and the spectral norm
+    are computed on first access and cached; the instance is otherwise
+    immutable.
     """
 
     matrix: np.ndarray
@@ -182,6 +183,18 @@ class Operator:
     def plus(self):
         """The plus-adjoint as an :class:`Operator` on the same space."""
         return Operator(self.space.plus_matrix(self.matrix), self.space)
+
+    @cached_property
+    def eigvals(self):
+        """Ambient eigenvalues, sorted by ``np.sort_complex``; read-only."""
+        ev = np.sort_complex(la.eigvals(self.matrix))
+        ev.setflags(write=False)
+        return ev
+
+    @cached_property
+    def spec_norm(self):
+        """Spectral norm of the matrix."""
+        return _spec_norm(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -204,6 +217,12 @@ def as_matrix(t, ws):
     if isinstance(t, Operator):
         return t.matrix
     return _as_matrix(t, ws.dim, "operator matrix")
+
+
+def as_operator(t, ws):
+    """Accept an :class:`Operator` or a raw array on ``ws`` and return an
+    :class:`Operator`, so that what it caches is computed once."""
+    return t if isinstance(t, Operator) else Operator(t, ws)
 
 
 def make_space(n, weight, enorm="euclid"):
@@ -284,9 +303,7 @@ def plus_adjoint(ws, t):
     -------
     Operator
     """
-    if isinstance(t, Operator):
-        return t.plus
-    return Operator(ws.plus_matrix(as_matrix(t, ws)), ws)
+    return as_operator(t, ws).plus
 
 
 def trace_opnorm_estimate(ws, t, restarts=ESTIMATE_RESTARTS,
@@ -378,7 +395,7 @@ def opnorm(ws, t, which="E"):
 
 def proper_norm(ws, t):
     """The norm ``|T|_E + |T+|_E`` making the plus-involution isometric."""
-    t = t if isinstance(t, Operator) else Operator(as_matrix(t, ws), ws)
+    t = as_operator(t, ws)
     return opnorm(ws, t, "E") + opnorm(ws, t.plus, "E")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import ContourTooClose, NotIdempotent, NotIsolated
-from .space import Operator, as_matrix, _spec_norm
+from .space import Operator, as_matrix, as_operator, _spec_norm
 from .subspaces import TOL_IDEM, ProjPair, _projection_range_kernel
 
 __all__ = [
@@ -109,20 +109,19 @@ def spectrum(ws, t, algebra="E"):
     -------
     SpectrumReport
     """
-    m = as_matrix(t, ws)
-    ev = np.sort_complex(la.eigvals(m))
-    scale = 1.0 + _spec_norm(m)
-    tol = MATCH_TOL * scale
+    op = as_operator(t, ws)
+    ev = op.eigvals
+    tol = MATCH_TOL * (1.0 + op.spec_norm)
     if algebra == "E":
         values = ev
     elif algebra == "L":
-        values = np.sort_complex(la.eigvals(ws.l_coords(m)))
+        values = np.sort_complex(la.eigvals(ws.l_coords(op.matrix)))
         if _greedy_match(ev, values, tol):
             raise ArithmeticError(
                 "weighted-coordinate eigenvalues drifted from ambient ones"
             )
     elif algebra == "P":
-        ev_plus_conj = np.conj(la.eigvals(ws.plus_matrix(m)))
+        ev_plus_conj = np.conj(la.eigvals(op.plus.matrix))
         extra_idx = _greedy_match(ev, ev_plus_conj, tol)
         values = np.sort_complex(
             np.concatenate([ev, ev_plus_conj[extra_idx]])
@@ -180,8 +179,8 @@ def riesz_projection(ws, t, lam, eps, m=64):
         raise ValueError("contour radius must be positive")
     if m < 16 or m % 2:
         raise ValueError("node count must be an even integer >= 16")
-    mat = as_matrix(t, ws)
-    spec_p = spectrum(ws, mat, "P").values
+    op = as_operator(t, ws)
+    spec_p = spectrum(ws, op, "P").values
     dist = np.abs(spec_p - lam)
     near_contour = (dist > eps / 2.0) & (dist < 1.5 * eps)
     if np.any(near_contour):
@@ -195,10 +194,10 @@ def riesz_projection(ws, t, lam, eps, m=64):
             "spectral points in the annulus between eps and 2 eps"
         )
     nodes = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    q = _contour_sum(mat, complex(lam), float(eps), nodes)
+    q = _contour_sum(op.matrix, complex(lam), float(eps), nodes)
     q_plus = ws.plus_matrix(q)
     q_plus_contour = _contour_sum(
-        ws.plus_matrix(mat), complex(lam).conjugate(), float(eps), nodes
+        op.plus.matrix, complex(lam).conjugate(), float(eps), nodes
     )
     _, range_sub, null_sub = _projection_range_kernel(ws, q)
     diag = RieszDiagnostics(

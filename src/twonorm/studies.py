@@ -23,8 +23,7 @@ from .errors import BadExponent
 from .space import make_space, _spec_norm
 from .compat import compat_margin
 from .subspaces import span
-from .schatten import block_idempotent, matrix_space, two_sided_mult, \
-    z_criterion_margin
+from .schatten import block_idempotent, z_criterion_margin
 
 __all__ = [
     "StudyRow",
@@ -127,10 +126,10 @@ def symmetry_truncation_study(k_list):
             raise ValueError(f"truncation sizes must be even and >= 2, got {k}")
         z = np.diag(np.concatenate([np.ones(k // 2), -np.ones(k // 2)]))
         crit = z_criterion_margin(z)
-        model = matrix_space(2 * k)
-        cq = two_sided_mult(model, block_idempotent(z), block_idempotent(z))
-        m = cq.matrix
-        eye = np.eye(model.ws.dim)
+        q = block_idempotent(z)
+        # column-stacked superoperator of x -> q x q
+        m = np.kron(q.T, q)
+        eye = np.eye(m.shape[0])
         c = m + m.conj().T - eye
         v = 2.0 * m - eye
         sym_eigs = la.eigvalsh(v + v.conj().T)

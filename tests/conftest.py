@@ -1,4 +1,4 @@
-"""Shared draw helpers for the test suite."""
+"""Shared draw and call-counting helpers for the test suite."""
 
 import os
 from pathlib import Path
@@ -34,3 +34,24 @@ def rotated_normal(rng, k):
     """Normal matrix with complex Gaussian eigenvalues."""
     u = rand.haar_unitary(rng, k)
     return (u * rand._complex_gauss(rng, k)) @ u.conj().T
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named function of each module so that calls are counted;
+    return the dict of counts, keyed ``module.name``."""
+    calls = {}
+
+    def wrap(owner, name):
+        fn = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, fns in names.items():
+        for name in fns:
+            wrap(owner, name)
+    return calls

@@ -9,11 +9,12 @@ import scipy.linalg as la
 import twonorm as tn
 import twonorm.cli as cli
 import twonorm.compat as compat
+import twonorm.subspaces as subspaces
 from twonorm import rand
 from twonorm.errors import IllConditionedWarning, NotIdempotent, RangeOverlap
 from twonorm.space import Operator, _spec_norm
 
-from conftest import modest_space
+from conftest import count_calls, modest_space
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -99,8 +100,18 @@ def test_check_compat_trial_builds_one_projection_per_margin(monkeypatch,
     calls = _count_projection_builds(monkeypatch)
     assert cli.main(["check", "compat", "--trials", "1", "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
-    # compat_margin for each companion plus one compat_projection
-    assert len(calls) == 3
+    # one per compat_margin; compat_projection builds none
+    assert len(calls) == 2
+
+
+def test_check_krein_trial_builds_one_projection(monkeypatch, capsys):
+    """Only the tilted projection is oblique; the canonical one is built
+    from the subspace alone."""
+    calls = count_calls(monkeypatch, {compat: ("oblique_projection",),
+                                      subspaces: ("oblique_projection",)})
+    assert cli.main(["check", "krein", "--trials", "1", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+    assert calls == {"twonorm.subspaces.oblique_projection": 1}
 
 
 def test_companion_transport_builds_two_projections(monkeypatch):
@@ -136,14 +147,16 @@ def test_compat_projection_is_self_plus_adjoint():
     assert _spec_norm(ws.plus_matrix(q) - q) <= 1e-9 * max(1.0, _spec_norm(q))
 
 
-def test_compat_projection_does_not_depend_on_the_companion():
+def test_compat_projection_takes_one_weighted_solve(monkeypatch):
+    """No oblique projection and no C: one solve against the weighted Gram
+    of the basis."""
     rng = rand.trial_rng(15, 2)
     ws = rand.random_space(rng, 6)
-    s, t1 = rand.random_companion_pair(rng, ws, 2, min_gap=0.02, attempts=2000)
-    _, t2 = rand.random_companion_pair(rng, ws, 2, min_gap=0.02, attempts=2000)
-    q1 = tn.compat_projection(ws, s, t1).p.matrix
-    q2 = tn.compat_projection(ws, s, t2).p.matrix
-    assert _spec_norm(q1 - q2) <= 1e-9 * max(1.0, _spec_norm(q1))
+    s = rand.random_subspace(rng, ws, 2)
+    calls = count_calls(monkeypatch, {compat: ("oblique_projection",),
+                                      la: ("svdvals", "solve")})
+    tn.compat_projection(ws, s)
+    assert calls == {"scipy.linalg.solve": 1}
 
 
 def test_compat_margin_grows_as_the_companion_closes_in():

@@ -1,4 +1,5 @@
-"""Package hygiene: every module-level import in ``src/twonorm`` is used."""
+"""Package hygiene: every module-level import in ``src/twonorm`` is used,
+and every module-level private function is read by some module of it."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,43 @@ def test_unused_import_is_reported(tmp_path):
     mod.write_text("import os\nimport sys as system\n"
                    "from math import pi, tau\n\nprint(tau, system)\n")
     assert _unused_imports(mod) == ["mod.py:1 os", "mod.py:3 pi"]
+
+
+def _unread_private_functions(modules):
+    """Top-level ``_private`` functions of ``modules`` that none of them
+    reads, by name (``_f(x)``, ``{"k": _f}``) or as an attribute
+    (``mod._f``).  Imports and the definition itself are not reads; dunder
+    names are exempt."""
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__") and node.name not in read)
+
+
+def test_no_unread_private_functions():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _unread_private_functions(modules) == []
+
+
+def test_unread_private_function_is_reported(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("def _called():\n    pass\n\n\n"
+                 "def _by_attribute():\n    pass\n\n\n"
+                 "def _in_a_table():\n    pass\n\n\n"
+                 "def _unread():\n    pass\n\n\n"
+                 "def __getattr__(name):\n    pass\n\n\n"
+                 "TABLE = {'k': _in_a_table}\n")
+    b = tmp_path / "b.py"
+    b.write_text("import a\nfrom a import _called, _unread\n\n"
+                 "_called()\na._by_attribute()\n")
+    assert _unread_private_functions([a, b]) == ["a.py:13 _unread"]

@@ -1,14 +1,18 @@
 """Spectra across algebras and contour-integral spectral projections."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import twonorm as tn
+import twonorm.cli as cli
 from twonorm import rand, spectra
 from twonorm.errors import ContourTooClose, NotIdempotent, NotIsolated
 from twonorm.space import _spec_norm
 
-from conftest import modest_space
+from conftest import count_calls, modest_space
 
 
 def euclid2():
@@ -200,3 +204,41 @@ def test_vvplus_rejects_non_idempotents():
     ws = euclid2()
     with pytest.raises(NotIdempotent):
         tn.vvplus_diagnostics(ws, np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+def test_check_spectra_trial_factors_the_ambient_matrix_once(monkeypatch,
+                                                             capsys):
+    """The P and L tags share one ambient eigensolve and one spectral norm;
+    the other two eigensolves are of the plus-adjoint and the weighted
+    coordinates."""
+    calls = count_calls(monkeypatch, {la: ("eigvals",)})
+    norm = np.linalg.norm
+    spectral = []
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            spectral.append(x.shape)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    assert cli.main(["check", "spectra", "--trials", "1", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+    assert calls == {"scipy.linalg.eigvals": 3}
+    assert spectral == [(10, 10)]
+
+
+def test_riesz_takes_the_plus_adjoint_of_the_operator_once(monkeypatch):
+    """The P-tag spectrum and the conjugate contour sum share T+."""
+    ws = modest_space(rand.trial_rng(12, 400), 4)
+    t = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1 * np.triu(np.ones((4, 4)), 1)
+    plus_matrix = tn.WeightedSpace.plus_matrix
+    of_t = []
+
+    def counted(self, m):
+        of_t.append(np.array_equal(m, t))
+        return plus_matrix(self, m)
+
+    monkeypatch.setattr(tn.WeightedSpace, "plus_matrix", counted)
+    _, diag = tn.riesz_projection(ws, t, 1.0, 0.4, 64)
+    assert diag.range_dim == 1
+    assert of_t.count(True) == 1

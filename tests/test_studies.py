@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import twonorm as tn
+import twonorm.schatten as schatten
 import twonorm.studies as studies
 from twonorm.errors import BadExponent, IoFailure
 from twonorm.studies import StudyRow
@@ -85,6 +86,15 @@ def test_symmetry_study_rows():
         assert row.aux["op_margin"] == 0.0
         assert row.aux["min_symmetric"] == pytest.approx(2.0 * row.margin_c, abs=1e-9)
         assert math.isnan(row.g_enorm)
+
+
+def test_symmetry_study_builds_no_matrix_space(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix space was built")
+
+    monkeypatch.setattr(schatten, "make_space", refuse)
+    monkeypatch.setattr(studies, "make_space", refuse)
+    assert [row.n for row in tn.symmetry_truncation_study([2, 4])] == [2, 4]
 
 
 def test_symmetry_margin_against_matrix_unit_oracle():

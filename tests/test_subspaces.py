@@ -15,31 +15,10 @@ from twonorm.errors import (
 )
 from twonorm.space import _spec_norm
 
-from conftest import modest_space
+from conftest import count_calls, modest_space
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
-
-
-def _count_calls(monkeypatch, names):
-    """Wrap each named function of each module so that calls are counted;
-    return the dict of counts, keyed ``module.name``."""
-    calls = {}
-
-    def wrap(owner, name):
-        fn = getattr(owner, name)
-        key = f"{owner.__name__}.{name}"
-
-        def counted(*args, **kwargs):
-            calls[key] = calls.get(key, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    for owner, fns in names.items():
-        for name in fns:
-            wrap(owner, name)
-    return calls
 
 
 def euclid2():
@@ -141,7 +120,7 @@ def test_complement_takes_one_qr(monkeypatch):
     rng = rand.trial_rng(11, 52)
     ws = rand.random_space(rng, 8)
     s = rand.random_subspace(rng, ws, 3)
-    calls = _count_calls(monkeypatch, {
+    calls = count_calls(monkeypatch, {
         la: ("qr", "svd", "svdvals", "null_space", "orth"),
         np.linalg: ("qr", "svd"),
     })
@@ -210,7 +189,7 @@ def test_oblique_projection_factors_each_matrix_once(monkeypatch):
     rng = rand.trial_rng(11, 51)
     ws = rand.random_space(rng, 8)
     s, t = rand.random_companion_pair(rng, ws, 3)
-    calls = _count_calls(monkeypatch, {
+    calls = count_calls(monkeypatch, {
         la: ("svd", "svdvals", "null_space", "orth", "subspace_angles"),
         np.linalg: ("svd", "svdvals", "cond"),
     })
