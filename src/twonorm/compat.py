@@ -23,7 +23,14 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import IllConditionedWarning, NotIdempotent, RangeOverlap
-from .space import Operator, as_matrix, opnorm, proper_norm, _spec_norm
+from .space import (
+    Operator,
+    as_matrix,
+    opnorm,
+    proper_norm,
+    _require,
+    _spec_norm,
+)
 from .subspaces import (
     TOL_IDEM,
     ProjPair,
@@ -95,6 +102,11 @@ class LemmaReport:
     agree: bool
 
 
+def _c_matrix(pair):
+    """``C = P + P+ - I`` for a built projection pair."""
+    return pair.p.matrix + pair.p_plus.matrix - np.eye(pair.p.space.dim)
+
+
 def c_operator(ws, s, t):
     """The symmetrized splitting operator ``C = P + P+ - I``.
 
@@ -102,9 +114,7 @@ def c_operator(ws, s, t):
     agrees with its plus-adjoint up to rounding and is invertible whenever
     the pair splits the space.
     """
-    pair = oblique_projection(ws, s, t)
-    c = pair.p.matrix + pair.p_plus.matrix - np.eye(ws.dim)
-    return Operator(c, ws)
+    return Operator(_c_matrix(oblique_projection(ws, s, t)), ws)
 
 
 def _lproj_matrix(ws, s):
@@ -151,7 +161,7 @@ def compat_margin(ws, s, t=None):
     if t is None:
         t = s.complement
     pair = oblique_projection(ws, s, t)
-    c = pair.p.matrix + pair.p_plus.matrix - np.eye(ws.dim)
+    c = _c_matrix(pair)
     svals = la.svdvals(c)
     margin = float(svals[-1])
     kappa_c = float(svals[0] / svals[-1]) if margin > 0.0 else np.inf
@@ -167,11 +177,9 @@ def compat_margin(ws, s, t=None):
     else:
         q_formula = la.solve(c, pair.p_plus.matrix)
         residual = _spec_norm(q_formula - q)
-        agree_tol = 1e-9 * max(1.0, kappa_c) * max(1.0, ws.weight_cond)
-        if residual > agree_tol:
-            raise ArithmeticError(
-                f"projection routes disagree ({residual:.3e} > {agree_tol:.3e})"
-            )
+        _require(residual,
+                 1e-9 * max(1.0, kappa_c) * max(1.0, ws.weight_cond),
+                 "projection routes disagree")
     return CompatReport(
         margin_c=margin,
         q_norm=opnorm(ws, q, "E"),
@@ -197,9 +205,8 @@ def krein_check(ws, s, q):
     """
     m = as_matrix(q, ws)
     norm, rng, ker = _projection_range_kernel(ws, m)
-    scale = max(1.0, norm) ** 2
-    if _spec_norm(m @ m - m) > TOL_IDEM * scale:
-        raise NotIdempotent("candidate matrix is not a projection")
+    _require(m @ m - m, TOL_IDEM * max(1.0, norm) ** 2,
+             "candidate matrix is not a projection", NotIdempotent)
     if not subspace_equal(rng, s):
         return False
     return subspace_contained(ker, s.complement)
@@ -225,8 +232,7 @@ def buckholtz_verify(ws, s, t):
     ps = _lproj_matrix(ws, s)
     pt = _lproj_matrix(ws, t)
     diff = ps - pt
-    c = pair.p.matrix + pair.p_plus.matrix - np.eye(n)
-    res1 = _spec_norm(diff @ c - np.eye(n))
+    res1 = _spec_norm(diff @ _c_matrix(pair) - np.eye(n))
     res2 = _spec_norm(ps @ la.inv(diff) - pair.p.matrix)
     res3 = _spec_norm(diff - (2.0 * pair.p.matrix - np.eye(n)) @ (ps + pt))
     m = np.hstack([s.basis, t.basis])
@@ -264,11 +270,8 @@ def companion_transport(ws, s, t, t1):
     g = p + pair_t1s.p.matrix @ (eye - p)
     g_plus_formula = p_plus + (eye - p_plus) @ pair_t1s.p_plus.matrix
     scale = max(1.0, _spec_norm(g)) * max(1.0, ws.weight_cond)
-    res = _spec_norm(ws.plus_matrix(g) - g_plus_formula)
-    if res > 1e-9 * scale:
-        raise ArithmeticError(
-            f"transport adjoint disagrees with its closed form ({res:.3e})"
-        )
+    _require(ws.plus_matrix(g) - g_plus_formula, 1e-9 * scale,
+             "transport adjoint disagrees with its closed form")
     if s.rank and not subspace_equal(span(ws, g @ s.basis), s):
         raise ArithmeticError("transport moved the fixed subspace")
     if t.rank and not subspace_equal(span(ws, g @ t.basis), t1):

@@ -26,6 +26,7 @@ from .space import (
     make_space,
     trace_opnorm_estimate,
     _as_matrix,
+    _require,
     _spec_norm,
 )
 from .compat import compat_margin
@@ -179,6 +180,12 @@ def block_idempotent(z):
     return np.vstack([top, bottom])
 
 
+def _pair_margin(z):
+    """``min |1 + conj(lam) mu|`` over eigenvalue pairs of a complex ``z``."""
+    lam = la.eigvals(z)
+    return float(np.abs(1.0 + np.multiply.outer(np.conj(lam), lam)).min())
+
+
 def z_criterion_margin(z):
     """Eigenvalue-pair and operator margins of ``I + (x -> z* x z)``.
 
@@ -187,12 +194,10 @@ def z_criterion_margin(z):
     ZCriterionReport
     """
     z = np.asarray(z, dtype=complex)
-    lam = la.eigvals(z)
-    pair = np.abs(1.0 + np.multiply.outer(np.conj(lam), lam)).min()
     k = z.shape[0]
     flat = np.eye(k * k) + np.kron(z.T, z.conj().T)
     return ZCriterionReport(
-        pair_margin=float(pair),
+        pair_margin=_pair_margin(z),
         op_margin=float(la.svdvals(flat)[-1]),
     )
 
@@ -299,18 +304,15 @@ def two_companions_demo(model, z, t):
         raise DimMismatch(
             f"model side {model.k} does not match block side {k}"
         )
-    if _spec_norm(z @ z.conj().T - z.conj().T @ z) > 1e-10 * max(
-        1.0, _spec_norm(z) ** 2
-    ):
-        raise ValueError("z must be normal")
+    _require(z @ z.conj().T - z.conj().T @ z,
+             1e-10 * max(1.0, _spec_norm(z) ** 2), "z must be normal",
+             ValueError)
     if la.svdvals(z)[-1] <= 1e-12:
         raise ValueError("z must be invertible")
-    if _spec_norm(t - t.conj().T) > 1e-10 or _spec_norm(
-        t @ t - np.eye(k)
-    ) > 1e-10:
-        raise ValueError("t must be a self-adjoint involution")
-    crit_z = z_criterion_margin(z)
-    if crit_z.pair_margin <= 0.0:
+    _require(t - t.conj().T, 1e-10, "t must be self-adjoint", ValueError)
+    _require(t @ t - np.eye(k), 1e-10, "t must be an involution", ValueError)
+    z_margin = _pair_margin(z)
+    if z_margin <= 0.0:
         raise ValueError("z must have a positive pair margin")
 
     q = block_idempotent(z)
@@ -324,12 +326,11 @@ def two_companions_demo(model, z, t):
     target_rng, _ = _range_kernel(
         model.ws, two_sided_mult(model, q_t, q_t).matrix
     )
-    crit_t = z_criterion_margin(t)
     return TwoCompanionsReport(
         fixed_kernel=subspace_equal(moved_ker, ker),
         transported_to_block_range=subspace_equal(moved_rng, target_rng),
-        transported_pair_margin=crit_t.pair_margin,
-        original_pair_margin=crit_z.pair_margin,
+        transported_pair_margin=_pair_margin(t),
+        original_pair_margin=z_margin,
     )
 
 
@@ -348,15 +349,11 @@ def adz_norm_check(model, z):
     op = sandwich(model, z)
     frob = _spec_norm(op.matrix)
     znorm_sq = _spec_norm(z) ** 2
-    if abs(frob - znorm_sq) > 1e-10 * max(1.0, znorm_sq):
-        raise ArithmeticError(
-            "Frobenius norm of the conjugation drifted from |z|^2"
-        )
+    _require(abs(frob - znorm_sq), 1e-10 * max(1.0, znorm_sq),
+             "Frobenius norm of the conjugation drifted from |z|^2")
     est = trace_opnorm_estimate(model.ws, op.matrix)
-    if est > znorm_sq + TOL_ADZ:
-        raise ArithmeticError(
-            f"trace-norm estimate {est:.6g} exceeds |z|^2 = {znorm_sq:.6g}"
-        )
+    _require(est, znorm_sq + TOL_ADZ,
+             "trace-norm estimate exceeds |z|^2 + TOL_ADZ")
     return AdzNormReport(
         frob_norm=frob,
         trace_norm_estimate=est,

@@ -58,7 +58,7 @@ TOL_SYM = 1e-10
 # |G* A G - A|_2 in is_L_isometric; absolute, the weight has norm <= 1
 TOL_ISO = 1e-8
 
-# Defaults for the rank-one ascent estimator of trace-tag operator norms.
+# Restarts and step cap of the rank-one ascent estimator of trace-tag norms.
 ESTIMATE_RESTARTS = 50
 ESTIMATE_ITERS = 200
 _ESTIMATE_SEED = 20081031
@@ -84,6 +84,18 @@ def _spec_norm(m):
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def _require(residual, tol, what, error=ArithmeticError):
+    """Raise ``error`` unless a cross-check's residual is within ``tol``.
+
+    A matrix residual is measured by its spectral norm; a scalar is a
+    figure the caller already holds and is used as given.  The message
+    carries the residual against its tolerance.
+    """
+    res = _spec_norm(residual) if np.ndim(residual) else residual
+    if res > tol:
+        raise error(f"{what} ({res:.3e} > {tol:.3e})")
 
 
 @dataclass(frozen=True)
@@ -306,8 +318,7 @@ def plus_adjoint(ws, t):
     return as_operator(t, ws).plus
 
 
-def trace_opnorm_estimate(ws, t, restarts=ESTIMATE_RESTARTS,
-                          iters=ESTIMATE_ITERS):
+def trace_opnorm_estimate(ws, t):
     """Lower-bound estimate of the trace-norm to trace-norm operator norm.
 
     The unit ball of the trace norm has the rank-one matrices ``u v*`` with
@@ -315,15 +326,15 @@ def trace_opnorm_estimate(ws, t, restarts=ESTIMATE_RESTARTS,
     the supremum of ``|T(u v*)|_tr`` over such pairs.  This routine runs an
     alternating ascent on that objective (polar factor of the output as the
     dual certificate, top singular pair of the pulled-back certificate as
-    the new input) from ``restarts`` seeded starting pairs and returns the
-    best value found.
+    the new input) from ``ESTIMATE_RESTARTS`` seeded starting pairs and
+    returns the best value found.
 
     The restarts run as one stacked ascent: each step applies ``T`` and
     ``T*`` to every live restart in one matrix product and takes one
     stacked SVD of the outputs and one of the pulled-back certificates.
     Each restart still follows its own trajectory and stops on its own
     rule, once its objective no longer rises by more than a relative
-    ``1e-13``; the others carry on until ``iters`` steps have run.
+    ``1e-13``; the others run on to ``ESTIMATE_ITERS`` steps.
 
     The result is deterministic and is a certified lower bound only; it is
     reported as an estimate wherever it surfaces.
@@ -334,7 +345,7 @@ def trace_opnorm_estimate(ws, t, restarts=ESTIMATE_RESTARTS,
         raise DimMismatch("trace-norm estimation needs a trace-tag space")
     # restart by restart: u real, u imag, v real, v imag
     g = np.random.default_rng(_ESTIMATE_SEED).standard_normal(
-        (restarts, 4, k))
+        (ESTIMATE_RESTARTS, 4, k))
     u = g[:, 0] + 1j * g[:, 1]
     v = g[:, 2] + 1j * g[:, 3]
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -342,9 +353,9 @@ def trace_opnorm_estimate(ws, t, restarts=ESTIMATE_RESTARTS,
     # Rows hold column-stacked matrices, so T x is x @ T^T and T* z is
     # z @ conj(T).
     m_t, m_c = m.T, m.conj()
-    prev = np.full(restarts, -np.inf)
-    live = np.arange(restarts)
-    for _ in range(iters):
+    prev = np.full(ESTIMATE_RESTARTS, -np.inf)
+    live = np.arange(ESTIMATE_RESTARTS)
+    for _ in range(ESTIMATE_ITERS):
         n = live.size
         # vec(u v*) = conj(v) (x) u
         x = (v.conj()[:, :, np.newaxis] * u[:, np.newaxis, :]).reshape(

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import ContourTooClose, NotIdempotent, NotIsolated
-from .space import Operator, as_matrix, as_operator, _spec_norm
+from .space import Operator, as_matrix, as_operator, _require, _spec_norm
 from .subspaces import TOL_IDEM, ProjPair, _projection_range_kernel
 
 __all__ = [
@@ -180,11 +180,13 @@ def riesz_projection(ws, t, lam, eps, m=64):
     if m < 16 or m % 2:
         raise ValueError("node count must be an even integer >= 16")
     op = as_operator(t, ws)
-    spec_p = spectrum(ws, op, "P").values
-    dist = np.abs(spec_p - lam)
+    # sigma(T+) = conj sigma(T) in finite dimension, so the ambient
+    # eigenvalues are the whole proper spectrum
+    ev = op.eigvals
+    dist = np.abs(ev - lam)
     near_contour = (dist > eps / 2.0) & (dist < 1.5 * eps)
     if np.any(near_contour):
-        worst = spec_p[near_contour][np.argmin(np.abs(dist[near_contour] - eps))]
+        worst = ev[near_contour][np.argmin(np.abs(dist[near_contour] - eps))]
         raise ContourTooClose(
             f"spectral point {worst:.6g} is within eps/2 of the contour"
         )
@@ -224,9 +226,8 @@ def vvplus_diagnostics(ws, q):
         squared norm).
     """
     m = as_matrix(q, ws)
-    scale = max(1.0, _spec_norm(m)) ** 2
-    if _spec_norm(m @ m - m) > TOL_IDEM * scale:
-        raise NotIdempotent("candidate matrix is not a projection")
+    _require(m @ m - m, TOL_IDEM * max(1.0, _spec_norm(m)) ** 2,
+             "candidate matrix is not a projection", NotIdempotent)
     v = 2.0 * m - np.eye(ws.dim)
     v_plus = ws.plus_matrix(v)
     spec = np.sort_complex(la.eigvals(v @ v_plus))

@@ -29,7 +29,14 @@ from .errors import (
     DimMismatch,
     NotComplementary,
 )
-from .space import Operator, WeightedSpace, as_matrix, _as_vector, _spec_norm
+from .space import (
+    Operator,
+    WeightedSpace,
+    as_matrix,
+    _as_vector,
+    _require,
+    _spec_norm,
+)
 
 __all__ = [
     "Subspace",
@@ -295,10 +302,10 @@ def _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub):
     n = ws.dim
     u, sv, vh = la.svd(p)
     scale = max(1.0, float(sv[0])) ** 2 * max(1.0, ws.weight_cond)
-    if _spec_norm(p @ p - p) > 1e-10 * scale:
-        raise ArithmeticError("projection failed the idempotency check")
-    if _spec_norm(p_plus @ p_plus - p_plus) > 1e-10 * scale:
-        raise ArithmeticError("plus-adjoint failed the idempotency check")
+    _require(p @ p - p, 1e-10 * scale,
+             "projection failed the idempotency check")
+    _require(p_plus @ p_plus - p_plus, 1e-10 * scale,
+             "plus-adjoint failed the idempotency check")
     rank = range_sub.rank
     if rank not in (0, n):
         got = Subspace(u[:, :rank], ws)
@@ -350,12 +357,9 @@ def oblique_projection(ws, s, t):
     p = _block_solve_projection(s, t)
     p_plus = ws.plus_matrix(p)
     p_indep = _block_solve_projection(t.complement, s.complement)
-    cross_tol = 1e-9 * max(1.0, kappa ** 2) * max(1.0, ws.weight_cond)
-    cross = _spec_norm(p_plus - p_indep)
-    if cross > cross_tol:
-        raise ArithmeticError(
-            f"plus-adjoint routes disagree ({cross:.3e} > {cross_tol:.3e})"
-        )
+    _require(p_plus - p_indep,
+             1e-9 * max(1.0, kappa ** 2) * max(1.0, ws.weight_cond),
+             "plus-adjoint routes disagree")
     _validate_idempotent_pair(ws, p, p_plus, s, t)
     return ProjPair(Operator(p, ws), Operator(p_plus, ws), s, t)
 
@@ -435,12 +439,9 @@ def finite_rank_proper_projection(ws, f_list, h_list):
         )
     p = f @ (h.conj().T @ ws.weight)
     p_plus = h @ (f.conj().T @ ws.weight)
-    cross = _spec_norm(ws.plus_matrix(p) - p_plus)
     scale = max(1.0, _spec_norm(p)) * max(1.0, ws.weight_cond)
-    if cross > 1e-9 * scale:
-        raise ArithmeticError(
-            f"swapped-family adjoint disagrees with the weight ({cross:.3e})"
-        )
+    _require(ws.plus_matrix(p) - p_plus, 1e-9 * scale,
+             "swapped-family adjoint disagrees with the weight")
     range_sub = span(ws, f)
     null_sub = span(ws, h).complement
     _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub)

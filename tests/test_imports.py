@@ -1,5 +1,7 @@
 """Package hygiene: every module-level import in ``src/twonorm`` is used,
-and every module-level private function is read by some module of it."""
+every module-level private function is read by some module of it, and
+every cross-check that raises on a spectral norm goes through
+``space._require``."""
 
 import ast
 from pathlib import Path
@@ -86,3 +88,72 @@ def test_unread_private_function_is_reported(tmp_path):
     b.write_text("import a\nfrom a import _called, _unread\n\n"
                  "_called()\na._by_attribute()\n")
     assert _unread_private_functions([a, b]) == ["a.py:13 _unread"]
+
+
+def _hand_rolled_norm_checks(path):
+    """``if`` statements that raise and whose test reads ``_spec_norm``,
+    directly or through a local assigned from it (at any remove), outside
+    ``_require`` itself."""
+    hits = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef) or func.name == "_require":
+            continue
+        tainted = {"_spec_norm"}
+
+        def reads_tainted(node):
+            return any(isinstance(n, ast.Name) and n.id in tainted
+                       for n in ast.walk(node))
+
+        assigns = [n for n in ast.walk(func) if isinstance(n, ast.Assign)]
+        grew = True
+        while grew:
+            grew = False
+            for node in assigns:
+                if not reads_tainted(node.value):
+                    continue
+                for target in node.targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name) and n.id not in tainted:
+                            tainted.add(n.id)
+                            grew = True
+        for node in ast.walk(func):
+            if isinstance(node, ast.If) and reads_tainted(node.test) and any(
+                    isinstance(n, ast.Raise)
+                    for stmt in node.body for n in ast.walk(stmt)):
+                hits.append(f"{path.name}:{node.lineno} {func.name}")
+    return hits
+
+
+def test_norm_checks_go_through_require():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    hits = [hit for path in modules for hit in _hand_rolled_norm_checks(path)]
+    assert hits == []
+
+
+def test_hand_rolled_norm_check_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def _require(residual, tol, what):\n"
+        "    res = _spec_norm(residual)\n"
+        "    if res > tol:\n"
+        "        raise ArithmeticError(what)\n\n\n"
+        "def direct(m):\n"
+        "    if _spec_norm(m) > 1.0:\n"
+        "        raise ArithmeticError('too big')\n\n\n"
+        "def through_locals(m):\n"
+        "    norm = _spec_norm(m)\n"
+        "    scale = max(1.0, norm) ** 2\n"
+        "    if 2.0 > scale:\n"
+        "        msg = 'too small'\n"
+        "        raise ValueError(msg)\n\n\n"
+        "def reported_only(m):\n"
+        "    res = _spec_norm(m)\n"
+        "    if res > 1.0:\n"
+        "        return False\n"
+        "    return True\n\n\n"
+        "def other_norm(m):\n"
+        "    if max_angle(m) > 1.0:\n"
+        "        raise ArithmeticError('drifted')\n")
+    assert _hand_rolled_norm_checks(mod) == ["mod.py:8 direct",
+                                             "mod.py:15 through_locals"]

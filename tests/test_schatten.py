@@ -11,6 +11,8 @@ from twonorm.errors import DimMismatch, SingularSystem
 from twonorm.space import _spec_norm
 from twonorm.subspaces import _range_kernel
 
+from conftest import rotated_normal
+
 
 def test_vec_unvec_roundtrip_and_column_order():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -288,6 +290,36 @@ def test_two_companions_input_validation():
         tn.two_companions_demo(model, 0.5 * np.eye(2), np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
         tn.two_companions_demo(model, np.diag([1.0, -1.0]), t)
+
+
+def test_two_companions_takes_no_svd_of_the_kronecker_map(monkeypatch):
+    """The demo reports pair margins only, so it never factors the
+    k^2 x k^2 map behind the operator margin."""
+    k = 3
+    model = tn.matrix_space(2 * k)
+    shapes = []
+    svdvals = la.svdvals
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(la, "svdvals", recorded)
+    z = rotated_normal(rand.trial_rng(44, 1), k)
+    rep = tn.two_companions_demo(model, z, np.diag([1.0, -1.0, 1.0]))
+    assert rep.fixed_kernel and rep.transported_to_block_range
+    assert shapes and (k * k, k * k) not in shapes
+
+
+def test_two_companions_failure_messages_carry_the_residual():
+    model = tn.matrix_space(4)
+    with pytest.raises(ValueError,
+                       match=r"^z must be normal \(2\.550e\+01 > 2\.987e-09\)$"):
+        tn.two_companions_demo(model, np.array([[1.0, 5.0], [0.0, 2.0]]),
+                               np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError,
+                       match=r"^t must be an involution \(3\.000e\+00 > "):
+        tn.two_companions_demo(model, 0.5 * np.eye(2), np.diag([1.0, 2.0]))
 
 
 def test_adz_norm_frozen_values():

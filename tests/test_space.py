@@ -13,7 +13,7 @@ from twonorm.errors import (
     NormCapViolated,
     NotPositiveDefinite,
 )
-from twonorm.space import _spec_norm
+from twonorm.space import _require, _spec_norm
 
 
 def _serial_ascent(ws, m, restarts=space.ESTIMATE_RESTARTS,
@@ -305,10 +305,7 @@ def test_trace_norm_estimate_matches_serial_ascent(k):
 
 def test_trace_norm_estimate_edge_cases():
     model = tn.matrix_space(3)
-    m = rand._complex_gauss(rand.trial_rng(41, 99), 9, 9)
     assert tn.trace_opnorm_estimate(model.ws, np.zeros((9, 9))) == 0.0
-    assert tn.trace_opnorm_estimate(model.ws, m, restarts=0) == 0.0
-    assert tn.trace_opnorm_estimate(model.ws, m, iters=0) == 0.0
     scalar = tn.matrix_space(1)
     est = tn.trace_opnorm_estimate(scalar.ws, np.array([[3.0 - 4.0j]]))
     assert est == pytest.approx(5.0, rel=1e-14)
@@ -370,3 +367,17 @@ def test_trace_norm_estimate_properties(drawn):
     est = tn.trace_opnorm_estimate(model.ws, t)
     assert est <= np.sqrt(k) * _spec_norm(t) * (1.0 + 1e-12)
     assert tn.trace_opnorm_estimate(model.ws, t) == est
+
+
+def test_require_reports_the_residual_against_its_tolerance():
+    """A matrix residual is measured by its spectral norm, a scalar is
+    used as given, and the message names both figures."""
+    _require(np.diag([1e-9, -2e-9]), 2e-9, "within")
+    _require(0.5, 0.5, "at the tolerance")
+    with pytest.raises(ArithmeticError,
+                       match=r"^routes disagree \(3\.000e-09 > 2\.000e-09\)$"):
+        _require(np.diag([1e-9, -3e-9]), 2e-9, "routes disagree")
+    with pytest.raises(ValueError,
+                       match=r"^bad input \(1\.500e\+00 > 1\.000e\+00\)$"):
+        _require(1.5, 1.0, "bad input", ValueError)
+    _require(np.zeros((0, 0)), 0.0, "empty")

@@ -228,7 +228,8 @@ def test_check_spectra_trial_factors_the_ambient_matrix_once(monkeypatch,
 
 
 def test_riesz_takes_the_plus_adjoint_of_the_operator_once(monkeypatch):
-    """The P-tag spectrum and the conjugate contour sum share T+."""
+    """T+ is formed once, for the conjugate contour sum; the contour
+    preconditions read the ambient eigenvalues and need no T+."""
     ws = modest_space(rand.trial_rng(12, 400), 4)
     t = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1 * np.triu(np.ones((4, 4)), 1)
     plus_matrix = tn.WeightedSpace.plus_matrix
@@ -242,3 +243,14 @@ def test_riesz_takes_the_plus_adjoint_of_the_operator_once(monkeypatch):
     _, diag = tn.riesz_projection(ws, t, 1.0, 0.4, 64)
     assert diag.range_dim == 1
     assert of_t.count(True) == 1
+
+
+def test_riesz_takes_one_eigensolve(monkeypatch):
+    """The contour preconditions read the operator's own eigenvalues:
+    sigma(T+) = conj sigma(T), so T+ is not factored for them."""
+    ws = modest_space(rand.trial_rng(12, 401), 5)
+    t = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + 0.1 * np.triu(np.ones((5, 5)), 1)
+    calls = count_calls(monkeypatch, {la: ("eigvals",)})
+    _, diag = tn.riesz_projection(ws, t, 2.0, 0.4, 64)
+    assert diag.range_dim == 1
+    assert calls == {"scipy.linalg.eigvals": 1}
