@@ -17,36 +17,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import compat, matio, rand, schatten, spectra, studies, subspaces
-from .errors import (
-    BadExponent,
-    ContourTooClose,
-    DimMismatch,
-    IoFailure,
-    NonIdentityWeightForTrace,
-    NormCapViolated,
-    NotComplementary,
-    NotIsolated,
-    NotPositiveDefinite,
-    SingularSystem,
-    TwoNormError,
-)
+from .errors import ParameterError, TwoNormError
 from .space import Operator, gz_bound_check, make_space, _spec_norm
 
 __all__ = ["main"]
-
-_PARAM_ERRORS = (
-    BadExponent,
-    ContourTooClose,
-    DimMismatch,
-    IoFailure,
-    NonIdentityWeightForTrace,
-    NormCapViolated,
-    NotComplementary,
-    NotIsolated,
-    NotPositiveDefinite,
-    SingularSystem,
-    ValueError,
-)
 
 
 def parse_matrix_literal(text, k=None):
@@ -300,9 +274,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p, seed=True, default_format="json"):
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+    def add_output(p, default_format="json"):
         p.add_argument("--format", choices=("json", "csv"),
                        default=default_format)
         p.add_argument("--out", default=None)
@@ -310,13 +282,13 @@ def build_parser():
     def add_common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--dim", type=int, default=10)
-        p.add_argument("--trials", type=int, default=100)
         p.add_argument("--tol", type=float, default=1e-9)
-        add_output(p, seed=False)
+        add_output(p)
 
     p_check = sub.add_parser("check", help="run a randomized check suite")
     p_check.add_argument("suite", choices=sorted(_SUITES))
     add_common(p_check)
+    p_check.add_argument("--trials", type=int, default=100)
     p_check.set_defaults(func=cmd_check)
 
     p_demo = sub.add_parser("demo", help="run a worked construction")
@@ -371,12 +343,12 @@ def build_parser():
     p_div.add_argument("--beta", type=float, required=True)
     p_div.add_argument("--dims", type=_int_list, default=[8, 16, 32, 64])
     p_div.add_argument("--control", action="store_true")
-    add_output(p_div, seed=False, default_format="csv")
+    add_output(p_div, default_format="csv")
     p_div.set_defaults(func=cmd_study)
 
     p_sym = study_sub.add_parser("symmetry")
     p_sym.add_argument("--ks", type=_int_list, default=[2, 4, 8])
-    add_output(p_sym, seed=False, default_format="csv")
+    add_output(p_sym, default_format="csv")
     p_sym.set_defaults(func=cmd_study)
 
     add_riesz_args(sub.add_parser(
@@ -391,7 +363,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _PARAM_ERRORS as exc:
+    except (ParameterError, ValueError) as exc:
         print(f"twonorm: {exc}", file=sys.stderr)
         return 2
     except (TwoNormError, ArithmeticError) as exc:

@@ -39,6 +39,7 @@ from .subspaces import (
     subspace_contained,
     subspace_equal,
     _projection_range_kernel,
+    _stacked_svals,
     _validate_idempotent_pair,
 )
 
@@ -235,12 +236,12 @@ def buckholtz_verify(ws, s, t):
     res1 = _spec_norm(diff @ _c_matrix(pair) - np.eye(n))
     res2 = _spec_norm(ps @ la.inv(diff) - pair.p.matrix)
     res3 = _spec_norm(diff - (2.0 * pair.p.matrix - np.eye(n)) @ (ps + pt))
-    m = np.hstack([s.basis, t.basis])
+    svals = _stacked_svals(s, t)
     return BuckholtzReport(
         res_inverse=res1,
         res_projection=res2,
         res_symmetric=res3,
-        kappa=float(np.linalg.cond(m)),
+        kappa=float(svals[0] / svals[-1]),
     )
 
 

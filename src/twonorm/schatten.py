@@ -30,7 +30,7 @@ from .space import (
     _spec_norm,
 )
 from .compat import compat_margin
-from .subspaces import _range_kernel, span, subspace_equal
+from .subspaces import _projection_range_kernel, span, subspace_equal
 
 __all__ = [
     "MatrixSpaceModel",
@@ -271,7 +271,7 @@ def cq_compat_demo(model, z):
         )
     q = block_idempotent(z)
     cq = two_sided_mult(model, q, q)
-    rng, ker = _range_kernel(model.ws, cq.matrix)
+    _, rng, ker = _projection_range_kernel(model.ws, cq.matrix)
     report = compat_margin(model.ws, rng, ker)
     crit = z_criterion_margin(z)
     return CqReport(
@@ -317,13 +317,13 @@ def two_companions_demo(model, z, t):
 
     q = block_idempotent(z)
     cq = two_sided_mult(model, q, q)
-    rng, ker = _range_kernel(model.ws, cq.matrix)
+    _, rng, ker = _projection_range_kernel(model.ws, cq.matrix)
     x = la.block_diag(z, t)
     g = right_mult(model, x)
     moved_rng = span(model.ws, g.matrix @ rng.basis)
     moved_ker = span(model.ws, g.matrix @ ker.basis)
     q_t = block_idempotent(t)
-    target_rng, _ = _range_kernel(
+    _, target_rng, _ = _projection_range_kernel(
         model.ws, two_sided_mult(model, q_t, q_t).matrix
     )
     return TwoCompanionsReport(

@@ -299,20 +299,16 @@ def _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub):
     ``ws.plus_matrix(p)`` here: every caller either builds it that way or
     has just checked that agreement at a tolerance no looser.
     """
-    n = ws.dim
-    u, sv, vh = la.svd(p)
-    scale = max(1.0, float(sv[0])) ** 2 * max(1.0, ws.weight_cond)
+    norm, p_range, p_kernel = _projection_range_kernel(ws, p)
+    scale = max(1.0, norm) ** 2 * max(1.0, ws.weight_cond)
     _require(p @ p - p, 1e-10 * scale,
              "projection failed the idempotency check")
     _require(p_plus @ p_plus - p_plus, 1e-10 * scale,
              "plus-adjoint failed the idempotency check")
-    rank = range_sub.rank
-    if rank not in (0, n):
-        got = Subspace(u[:, :rank], ws)
-        if not subspace_equal(got, range_sub):
+    if range_sub.rank not in (0, ws.dim):
+        if not subspace_equal(p_range, range_sub):
             raise ArithmeticError("projection range drifted from its subspace")
-        ker = Subspace(vh[rank:].conj().T, ws)
-        if not subspace_equal(ker, null_sub):
+        if not subspace_equal(p_kernel, null_sub):
             raise ArithmeticError("projection kernel drifted from its subspace")
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import twonorm.cli as cli
+import twonorm.errors as errors
 import twonorm.matio as matio
 
 
@@ -228,3 +229,49 @@ def test_csv_spells_bools_and_missing_values():
     )
     assert code == 0
     assert out == "solvable,margin,residual\nfalse,0.0,\n"
+
+
+# the error classes that blame the caller's input, and so exit 2
+PARAMETER_ERRORS = {
+    "ParameterError", "BadExponent", "ContourTooClose", "DimMismatch",
+    "IoFailure", "NonIdentityWeightForTrace", "NormCapViolated",
+    "NotComplementary", "NotIsolated", "NotPositiveDefinite",
+    "SingularSystem",
+}
+
+
+@pytest.mark.parametrize("name", [
+    name for name in errors.__all__
+    if issubclass(getattr(errors, name), errors.TwoNormError)
+])
+def test_error_class_sets_the_exit_code(name, monkeypatch, capsys):
+    """Exit 2 for exactly the ``ParameterError`` classes, 1 for the rest."""
+    cls = getattr(errors, name)
+
+    def raising(*args, **kwargs):
+        raise cls("planted")
+
+    monkeypatch.setattr(cli, "parse_matrix_literal", raising)
+    code = cli.main(["demo", "cq", "--z", "diag:1"])
+    assert issubclass(cls, errors.ParameterError) == (name in PARAMETER_ERRORS)
+    assert code == (2 if name in PARAMETER_ERRORS else 1)
+    assert capsys.readouterr().err == "twonorm: planted\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "riesz", "--t", "diag:1,2", "--lambda", "1", "--eps", "0.4",
+     "--seed", "1"],
+    ["riesz", "--t", "diag:1,2", "--lambda", "1", "--eps", "0.4",
+     "--seed", "1"],
+    ["demo", "cq", "--z", "diag:1,-1", "--seed", "1"],
+    ["demo", "two_companions", "--z", "scalar:0.5", "--t", "diag:1,-1",
+     "--k", "2", "--seed", "1"],
+    ["demo", "sylvester", "--c", "diag:1,2", "--d", "diag:3,4",
+     "--w", "scalar:1", "--k", "2", "--seed", "1"],
+    ["demo", "finite_rank", "--trials", "5"],
+])
+def test_options_no_command_reads_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -219,6 +219,18 @@ def test_buckholtz_symmetric_residual_on_canonical_pair():
     assert tn.buckholtz_verify(ws, s, t).res_symmetric <= 1e-12
 
 
+def test_buckholtz_reads_kappa_from_the_stacked_singular_values(monkeypatch):
+    """The stacked-basis condition number comes from ``_stacked_svals``,
+    not from a separate ``numpy.linalg.cond``."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg.cond was called")
+
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    ws, s, t = canonical_pair()
+    svals = subspaces._stacked_svals(s, t)
+    assert tn.buckholtz_verify(ws, s, t).kappa == svals[0] / svals[-1]
+
+
 def test_companion_transport_frozen_two_by_two():
     ws = tn.make_space(2, np.eye(2))
     s = tn.span(ws, [E1])

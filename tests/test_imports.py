@@ -1,12 +1,20 @@
 """Package hygiene: every module-level import in ``src/twonorm`` is used,
-every module-level private function is read by some module of it, and
-every cross-check that raises on a spectral norm goes through
-``space._require``."""
+every module-level private function is read by some module of it, every
+cross-check that raises on a spectral norm goes through
+``space._require``, and no public name is declared by two modules."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twonorm"
+
+
+def _declared_all(tree):
+    """The names a module's top-level ``__all__`` assignment lists."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)]
 
 
 def _unused_imports(path):
@@ -27,11 +35,7 @@ def _unused_imports(path):
                 name = alias.asname or alias.name.split(".")[0]
                 bound[name] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            read.update(ast.literal_eval(node.value))
+    read.update(_declared_all(tree))
     return sorted(f"{path.name}:{line} {name}"
                   for name, line in bound.items() if name not in read)
 
@@ -157,3 +161,32 @@ def test_hand_rolled_norm_check_is_reported(tmp_path):
         "        raise ArithmeticError('drifted')\n")
     assert _hand_rolled_norm_checks(mod) == ["mod.py:8 direct",
                                              "mod.py:15 through_locals"]
+
+
+def _names_in_two_modules(modules):
+    """Names listed in the ``__all__`` of more than one of ``modules``.
+
+    The package namespace star-imports each module's ``__all__``, so a
+    second declaration of a name would silently shadow the first."""
+    homes = {}
+    for path in modules:
+        for name in _declared_all(ast.parse(path.read_text())):
+            homes.setdefault(name, []).append(path.name)
+    return sorted(f"{name}: {', '.join(paths)}"
+                  for name, paths in homes.items() if len(paths) > 1)
+
+
+def test_each_public_name_has_one_home():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _names_in_two_modules(modules) == []
+
+
+def test_public_name_in_two_modules_is_reported(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text('__all__ = ["shared", "only_a"]\n')
+    b = tmp_path / "b.py"
+    b.write_text('import a\n\n__all__ = ["only_b", "shared"]\n')
+    c = tmp_path / "c.py"
+    c.write_text("shared = 1\n")
+    assert _names_in_two_modules([a, b, c]) == ["shared: a.py, b.py"]

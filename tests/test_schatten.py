@@ -9,7 +9,7 @@ import twonorm.schatten as schatten
 from twonorm import rand
 from twonorm.errors import DimMismatch, SingularSystem
 from twonorm.space import _spec_norm
-from twonorm.subspaces import _range_kernel
+from twonorm.subspaces import _projection_range_kernel, _range_kernel
 
 from conftest import rotated_normal
 
@@ -236,16 +236,19 @@ def test_cq_demo_frozen_rows():
 
 def test_superoperator_range_and_kernel_come_from_one_svd(monkeypatch):
     """The range and kernel bases are those of span and null_space, bitwise,
-    and the cq demo factors its superoperator once for both."""
+    from either rank rule, and the cq demo factors its superoperator once
+    for both."""
     for k in range(1, 5):
         rng = rand.trial_rng(61, k)
         model = tn.matrix_space(2 * k)
         q = tn.block_idempotent(rand._complex_gauss(rng, k, k))
         m = tn.two_sided_mult(model, q, q).matrix
-        rng_sub, ker_sub = _range_kernel(model.ws, m)
-        assert np.array_equal(rng_sub.basis, tn.span(model.ws, m).basis)
-        assert np.array_equal(ker_sub.basis, la.null_space(m))
-        assert rng_sub.rank + ker_sub.rank == model.ws.dim
+        for split in (_range_kernel(model.ws, m),
+                      _projection_range_kernel(model.ws, m)[1:]):
+            rng_sub, ker_sub = split
+            assert np.array_equal(rng_sub.basis, tn.span(model.ws, m).basis)
+            assert np.array_equal(ker_sub.basis, la.null_space(m))
+            assert rng_sub.rank + ker_sub.rank == model.ws.dim
 
     null_space = la.null_space
 
