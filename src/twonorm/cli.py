@@ -206,7 +206,7 @@ def _riesz_run(args):
         "idempotency_res": diag.idempotency_res,
         "plus_res": diag.plus_res,
         "range_dim": diag.range_dim,
-        "q": [[[v.real, v.imag] for v in row] for row in pair.p.matrix],
+        "q": np.stack([pair.p.matrix.real, pair.p.matrix.imag], axis=-1),
     }
     ok = diag.idempotency_res <= 1e-8 and diag.plus_res <= 1e-8
     _emit_payload(report, args.format, args.out, drop_for_csv=("q",))

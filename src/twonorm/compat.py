@@ -38,8 +38,8 @@ from .subspaces import (
     span,
     subspace_contained,
     subspace_equal,
+    _oblique_projection,
     _projection_range_kernel,
-    _stacked_svals,
     _validate_idempotent_pair,
 )
 
@@ -228,7 +228,7 @@ def buckholtz_verify(ws, s, t):
     reported as spectral-norm residuals together with the stacked-basis
     condition number.
     """
-    pair = oblique_projection(ws, s, t)
+    pair, kappa = _oblique_projection(ws, s, t)
     n = ws.dim
     ps = _lproj_matrix(ws, s)
     pt = _lproj_matrix(ws, t)
@@ -236,12 +236,11 @@ def buckholtz_verify(ws, s, t):
     res1 = _spec_norm(diff @ _c_matrix(pair) - np.eye(n))
     res2 = _spec_norm(ps @ la.inv(diff) - pair.p.matrix)
     res3 = _spec_norm(diff - (2.0 * pair.p.matrix - np.eye(n)) @ (ps + pt))
-    svals = _stacked_svals(s, t)
     return BuckholtzReport(
         res_inverse=res1,
         res_projection=res2,
         res_symmetric=res3,
-        kappa=float(svals[0] / svals[-1]),
+        kappa=kappa,
     )
 
 

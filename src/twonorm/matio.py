@@ -1,16 +1,18 @@
 """Plain-text formats, and the package's one reader and one writer.
 
 Command payloads are JSON (two-space indent, no NaN) or CSV (flat rows
-under a header of the first row's keys).  Matrix files carry a ``rows cols``
-header line followed by one line per row, each entry written as a
-comma-joined ``re,im`` pair and entries separated by whitespace.  Subspace
-files prepend a ``subspace n r`` header to the matrix format of the basis.
-Parsers reject non-finite entries; a read or write that fails at the OS
-level raises :class:`~twonorm.errors.IoFailure`.
+under a header of the first row's keys).  A JSON payload may hold float64
+arrays, written byte for byte as their nested lists would be.  Matrix
+files carry a ``rows cols`` header line followed by one line per row, each
+entry written as a comma-joined ``re,im`` pair and entries separated by
+whitespace.  Subspace files prepend a ``subspace n r`` header to the matrix
+format of the basis.  Parsers reject non-finite entries; a read or write
+that fails at the OS level raises :class:`~twonorm.errors.IoFailure`.
 """
 
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -32,8 +34,54 @@ __all__ = [
 
 
 def dumps_json(obj):
-    """``obj`` as strict JSON, indented by two spaces, ending in a newline."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """``obj`` as strict JSON, indented by two spaces, ending in a newline.
+
+    ``obj`` may hold float64 ``ndarray`` leaves.  Each is written as
+    ``json.dumps`` writes its ``tolist()`` at that depth, byte for byte, but
+    from one template per array; a non-finite entry raises ``ValueError``
+    as it would there.  Everything else goes through ``json.dumps``.
+    """
+    arrays = []
+
+    def as_leaf(o):
+        if isinstance(o, np.ndarray) and o.dtype == np.float64:
+            arrays.append(o)
+            return ""
+        raise TypeError(
+            f"Object of type {o.__class__.__name__} is not JSON serializable"
+        )
+
+    encoder = json.JSONEncoder(indent=2, allow_nan=False, default=as_leaf)
+    out = []
+    for chunk in encoder.iterencode(obj):
+        if arrays:
+            # The encoder asks ``as_leaf`` for an array's stand-in just
+            # before it yields the stand-in, as a chunk of its own.
+            line = "".join(out).rpartition("\n")[2]
+            depth = (len(line) - len(line.lstrip(" "))) // 2
+            chunk = _array_json(arrays.pop(), depth)
+        out.append(chunk)
+    return "".join(out) + "\n"
+
+
+def _array_json(a, depth):
+    """``json.dumps(a.tolist(), indent=2, allow_nan=False)`` for a float64
+    array whose opening bracket sits on a line indented ``depth`` levels."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        bad = float(a[~np.isfinite(a)][0])
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {bad!r}"
+        )
+    template = "%r"
+    for axis in reversed(range(a.ndim)):
+        if a.shape[axis] == 0:
+            template = "[]"
+            continue
+        pad = "\n" + "  " * (depth + axis + 1)
+        template = ("[" + pad + ("," + pad).join([template] * a.shape[axis])
+                    + "\n" + "  " * (depth + axis) + "]")
+    return template % tuple(a.ravel().tolist())
 
 
 def _csv_cell(val):
@@ -100,8 +148,34 @@ def loads_matrix(text):
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
     out = np.zeros((rows, cols), dtype=complex)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split()
+    table = [line.split() for line in lines[1:]]
+    entries = _bulk_entries(table, cols)
+    if entries is None:
+        _raise_first_fault(table, cols)
+    out.reshape(-1).view(float)[:] = entries
+    return out
+
+
+def _bulk_entries(table, cols):
+    """The ``re, im`` floats of the rows of cells ``table``, row-major, or
+    None when a row, an entry or a value is malformed."""
+    cells = [cell for row in table for cell in row]
+    if any(len(row) != cols for row in table) \
+            or not set(map(str.count, cells, repeat(","))) <= {1}:
+        return None
+    # every cell holds one comma, so the tokens pair up as re, im
+    tokens = ",".join(cells).split(",")
+    try:
+        entries = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        return None
+    return entries if np.isfinite(entries).all() else None
+
+
+def _raise_first_fault(table, cols):
+    """Raise the ``ValueError`` for the first fault of ``table`` in
+    row-major order, scanning cell by cell."""
+    for i, cells in enumerate(table):
         if len(cells) != cols:
             raise ValueError(f"row {i} has {len(cells)} entries, wanted {cols}")
         for j, cell in enumerate(cells):
@@ -111,8 +185,6 @@ def loads_matrix(text):
             re, im = float(parts[0]), float(parts[1])
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"non-finite entry at ({i}, {j})")
-            out[i, j] = complex(re, im)
-    return out
 
 
 def dump_matrix(m, path):

@@ -89,11 +89,18 @@ def _spec_norm(m):
 def _require(residual, tol, what, error=ArithmeticError):
     """Raise ``error`` unless a cross-check's residual is within ``tol``.
 
-    A matrix residual is measured by its spectral norm; a scalar is a
-    figure the caller already holds and is used as given.  The message
-    carries the residual against its tolerance.
+    A matrix residual is measured by its spectral norm.  It passes at once
+    when its Frobenius norm is within ``tol``, since the spectral norm is
+    never larger; otherwise the spectral norm is taken, compared and
+    reported.  A scalar is a figure the caller already holds and is used
+    as given.  The message carries the residual against its tolerance.
     """
-    res = _spec_norm(residual) if np.ndim(residual) else residual
+    if np.ndim(residual):
+        if np.linalg.norm(residual) <= tol:
+            return
+        res = _spec_norm(residual)
+    else:
+        res = residual
     if res > tol:
         raise error(f"{what} ({res:.3e} > {tol:.3e})")
 

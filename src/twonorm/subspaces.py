@@ -343,6 +343,12 @@ def oblique_projection(ws, s, t):
     NotComplementary
         If the pair does not split the space at the gap tolerance.
     """
+    return _oblique_projection(ws, s, t)[0]
+
+
+def _oblique_projection(ws, s, t):
+    """:func:`oblique_projection` and the condition number of the stacked
+    bases ``[B_S | B_T]`` it was checked with."""
     svals = _stacked_svals(s, t)
     gap = float(svals[-1])
     if gap <= TOL_GAP:
@@ -357,7 +363,7 @@ def oblique_projection(ws, s, t):
              1e-9 * max(1.0, kappa ** 2) * max(1.0, ws.weight_cond),
              "plus-adjoint routes disagree")
     _validate_idempotent_pair(ws, p, p_plus, s, t)
-    return ProjPair(Operator(p, ws), Operator(p_plus, ws), s, t)
+    return ProjPair(Operator(p, ws), Operator(p_plus, ws), s, t), kappa
 
 
 def is_proper_companion(ws, s, t, tol_gap=TOL_GAP):

@@ -231,6 +231,18 @@ def test_buckholtz_reads_kappa_from_the_stacked_singular_values(monkeypatch):
     assert tn.buckholtz_verify(ws, s, t).kappa == svals[0] / svals[-1]
 
 
+def test_buckholtz_takes_one_svd_of_the_stacked_bases(monkeypatch):
+    """The projection and the report share one ``svdvals`` of
+    ``[B_S | B_T]``."""
+    rng = rand.trial_rng(18, 1)
+    ws = rand.random_space(rng, 6)
+    s = rand.random_subspace(rng, ws, 2)
+    t = rand.random_subspace(rng, ws, 4)
+    calls = count_calls(monkeypatch, {la: ("svdvals",)})
+    tn.buckholtz_verify(ws, s, t)
+    assert calls == {"scipy.linalg.svdvals": 1}
+
+
 def test_companion_transport_frozen_two_by_two():
     ws = tn.make_space(2, np.eye(2))
     s = tn.span(ws, [E1])

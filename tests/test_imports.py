@@ -1,7 +1,8 @@
 """Package hygiene: every module-level import in ``src/twonorm`` is used,
 every module-level private function is read by some module of it, every
 cross-check that raises on a spectral norm goes through
-``space._require``, and no public name is declared by two modules."""
+``space._require``, no public name is declared by two modules, and only
+``matio`` imports ``json``."""
 
 import ast
 from pathlib import Path
@@ -190,3 +191,42 @@ def test_public_name_in_two_modules_is_reported(tmp_path):
     c = tmp_path / "c.py"
     c.write_text("shared = 1\n")
     assert _names_in_two_modules([a, b, c]) == ["shared: a.py, b.py"]
+
+
+def _json_importers(modules):
+    """Imports of ``json`` (or a submodule of it), at any depth, in modules
+    other than ``matio.py``, which owns the package's text formats."""
+    hits = []
+    for path in modules:
+        if path.name == "matio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name == "json" or name.startswith("json.")]
+    return sorted(hits)
+
+
+def test_only_matio_imports_json():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _json_importers(modules) == []
+
+
+def test_json_import_outside_matio_is_reported(tmp_path):
+    matio = tmp_path / "matio.py"
+    matio.write_text("import json\n")
+    a = tmp_path / "a.py"
+    a.write_text("import os, json as js\n\n\n"
+                 "def f():\n    from json.decoder import JSONDecodeError\n")
+    b = tmp_path / "b.py"
+    b.write_text("import jsonschema\nfrom . import matio\n"
+                 "from .matio import dumps_json\n")
+    assert _json_importers([matio, a, b]) == ["a.py:1 json",
+                                              "a.py:5 json.decoder"]
+

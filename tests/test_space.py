@@ -15,6 +15,8 @@ from twonorm.errors import (
 )
 from twonorm.space import _require, _spec_norm
 
+from conftest import count_calls
+
 
 def _serial_ascent(ws, m, restarts=space.ESTIMATE_RESTARTS,
                    iters=space.ESTIMATE_ITERS):
@@ -381,3 +383,23 @@ def test_require_reports_the_residual_against_its_tolerance():
                        match=r"^bad input \(1\.500e\+00 > 1\.000e\+00\)$"):
         _require(1.5, 1.0, "bad input", ValueError)
     _require(np.zeros((0, 0)), 0.0, "empty")
+
+
+def test_require_takes_the_spectral_norm_only_past_the_frobenius_bound(
+        monkeypatch):
+    """A matrix residual whose Frobenius norm is within the tolerance passes
+    with no spectral norm (no SVD).  Past that bound the spectral norm
+    decides, so a residual with |x|_2 <= tol < |x|_F still passes, and a
+    failure reports the exact |x|_2."""
+    calls = count_calls(monkeypatch, {space: ("_spec_norm",)})
+    _require(np.diag([1e-9, -1e-9]), 1.5e-9, "frobenius within")
+    assert calls == {}
+    x = np.diag([1e-9, 1e-9, 1e-9])
+    assert _spec_norm(x) <= 1.2e-9 < np.linalg.norm(x)
+    calls.clear()
+    _require(x, 1.2e-9, "spectral within")
+    assert calls == {"twonorm.space._spec_norm": 1}
+    with pytest.raises(ArithmeticError,
+                       match=r"^drifted \(2\.000e-09 > 1\.500e-09\)$"):
+        _require(np.ones((2, 2)) * 1e-9, 1.5e-9, "drifted")
+
