@@ -1,10 +1,13 @@
 """Package hygiene: every module-level import in ``src/twonorm`` is used,
 every module-level private function is read by some module of it, every
 cross-check that raises on a spectral norm goes through
-``space._require``, no public name is declared by two modules, and only
-``matio`` imports ``json``."""
+``space._require``, no public name is declared by two modules, only
+``matio`` imports ``json``, and the command line starts without
+``scipy.sparse``."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twonorm"
@@ -230,3 +233,12 @@ def test_json_import_outside_matio_is_reported(tmp_path):
     assert _json_importers([matio, a, b]) == ["a.py:1 json",
                                               "a.py:5 json.decoder"]
 
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    """ARPACK, which only the Sylvester margin uses, is imported inside
+    ``schatten.sylvester``: at module level ``scipy.sparse.linalg`` would
+    add about 30 ms and 2 MB to the start of every command."""
+    code = "import sys, twonorm.cli; sys.exit('scipy.sparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], timeout=60)
+    assert done.returncode == 0

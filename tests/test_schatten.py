@@ -1,12 +1,17 @@
 """Superoperators on matrix spaces: multiplications, block projections, margins."""
 
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings, strategies as st
 
 import twonorm as tn
 import twonorm.schatten as schatten
-from twonorm import rand
+from twonorm import matio, rand
 from twonorm.errors import DimMismatch, SingularSystem
 from twonorm.space import _spec_norm
 from twonorm.subspaces import _projection_range_kernel, _range_kernel
@@ -166,6 +171,169 @@ def test_sylvester_force_on_singular_system_raises():
 def test_sylvester_rejects_mismatched_shapes():
     with pytest.raises(DimMismatch):
         tn.sylvester(np.eye(2), np.eye(3), np.ones((2, 2)))
+
+
+def _kronecker_route(c, d, w):
+    """The dense oracle: solve and smallest singular value of the flattened
+    k^2 x k^2 map ``I (x) c - d^T (x) I``."""
+    k = c.shape[0]
+    flat = np.kron(np.eye(k), c) - np.kron(d.T, np.eye(k))
+    x = tn.unvec(la.solve(flat, tn.vec(w)), k)
+    return x, float(la.svdvals(flat)[-1])
+
+
+def _sylvester_pair(rng, k, normal):
+    """Two k x k coefficients: rotated normal ones with complex Gaussian
+    spectra, or plain complex Gaussian (non-normal) ones."""
+    if normal:
+        return rotated_normal(rng, k), rotated_normal(rng, k)
+    return rand._complex_gauss(rng, k, k), rand._complex_gauss(rng, k, k)
+
+
+def _check_against_kronecker(c, d, w):
+    """The margin against the oracle's smallest singular value, and the
+    residual against the CLI's default ``--tol`` rule.
+
+    Both margins are backward stable: each is within a few
+    ``eps |M|_2 <= eps (|c|_2 + |d|_2)`` of the exact smallest singular
+    value of ``M: x -> c x - x d``.  Relative to that value the bound
+    therefore scales with the conditioning ``(|c|_2 + |d|_2) / margin``.
+    """
+    res = tn.sylvester(c, d, w)
+    _, oracle = _kronecker_route(c, d, w)
+    scale = _spec_norm(c) + _spec_norm(d)
+    rel_bound = 8 * np.finfo(float).eps * scale / oracle
+    assert abs(res.margin - oracle) <= rel_bound * oracle
+    if res.solvable:
+        assert res.residual <= 1e-9 * (1.0 + _spec_norm(w))
+    else:
+        assert res.margin <= schatten.TOL_SPEC
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(k=st.integers(1, 8), normal=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sylvester_matches_the_kronecker_oracle(k, normal, seed):
+    rng = rand.trial_rng(seed, k)
+    c, d = _sylvester_pair(rng, k, normal)
+    _check_against_kronecker(c, d, rand._complex_gauss(rng, k, k))
+
+
+@pytest.mark.parametrize("k", [12, 16, 20])
+@pytest.mark.parametrize("normal", [True, False])
+def test_sylvester_matches_the_kronecker_oracle_at_larger_sides(k, normal):
+    for trial in range(2):
+        rng = rand.trial_rng(53, 100 * k + trial)
+        c, d = _sylvester_pair(rng, k, normal)
+        _check_against_kronecker(c, d, rand._complex_gauss(rng, k, k))
+
+
+def _disc(rng, k, centre, radius):
+    """k points uniform in the disc of ``radius`` around ``centre``."""
+    return centre + radius * np.sqrt(rng.uniform(size=k)) * np.exp(
+        2j * np.pi * rng.uniform(size=k))
+
+
+@pytest.mark.parametrize("k", [16, 20, 32])
+def test_sylvester_margin_is_the_separation_of_normal_pairs(k):
+    """For normal coefficients the flattened map is normal, so its smallest
+    singular value is the smallest eigenvalue distance."""
+    rng = rand.trial_rng(59, k)
+    lam, mu = _disc(rng, k, 2.0, 0.5), _disc(rng, k, -2.0, 0.5)
+    u1, u2 = rand.haar_unitary(rng, k), rand.haar_unitary(rng, k)
+    c = (u1 * lam) @ u1.conj().T
+    d = (u2 * mu) @ u2.conj().T
+    sep = np.abs(np.subtract.outer(lam, mu)).min()
+    res = tn.sylvester(c, d, rand._complex_gauss(rng, k, k))
+    assert abs(res.margin - sep) <= 2e-15 * sep
+
+
+def test_sylvester_side_one_margin_is_the_distance():
+    res = tn.sylvester([[3.0 + 1j]], [[1.0]], [[2.0]])
+    assert res.solvable
+    assert res.margin == abs(2.0 + 1j)
+    assert res.residual <= 1e-15
+    res = tn.sylvester([[1.0]], [[1.0 + 1e-9]], [[2.0]])
+    assert not res.solvable and res.x is None and res.residual is None
+    assert res.margin == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_sylvester_unsolvable_margin_bounds_the_smallest_singular_value():
+    """The separation reported for meeting spectra is an upper bound on the
+    smallest singular value of the flattened map."""
+    rng = rand.trial_rng(61, 0)
+    c, _ = _sylvester_pair(rng, 4, False)
+    d = c.T + 1e-10 * rand._complex_gauss(rng, 4, 4)
+    res = tn.sylvester(c, d, np.eye(4))
+    _, oracle = _kronecker_route(c, d, np.eye(4))
+    assert not res.solvable
+    assert oracle <= res.margin + 8 * np.finfo(float).eps * (
+        _spec_norm(c) + _spec_norm(d))
+    assert res.margin <= schatten.TOL_SPEC
+
+
+def test_sylvester_repeats_bit_for_bit():
+    rng = rand.trial_rng(67, 0)
+    c, d = _sylvester_pair(rng, 12, False)
+    w = rand._complex_gauss(rng, 12, 12)
+    first = tn.sylvester(c, d, w)
+    second = tn.sylvester(c, d, w)
+    assert first.margin == second.margin
+    assert first.residual == second.residual
+    assert np.array_equal(first.x, second.x)
+
+
+def test_demo_sylvester_prints_the_same_bytes_on_two_runs(tmp_path):
+    rng = rand.trial_rng(67, 1)
+    c, d = _sylvester_pair(rng, 8, False)
+    argv = [sys.executable, "-m", "twonorm", "demo", "sylvester"]
+    for name, m in (("c", c), ("d", d), ("w", rand._complex_gauss(rng, 8, 8))):
+        matio.dump_matrix(m, tmp_path / f"{name}.mat")
+        argv += [f"--{name}", f"file:{tmp_path / f'{name}.mat'}"]
+    first = subprocess.run(argv, capture_output=True, timeout=60)
+    second = subprocess.run(argv, capture_output=True, timeout=60)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+
+
+def test_sylvester_forms_no_kronecker_map(monkeypatch):
+    """The solve and margin come from the two k x k Schur forms: nothing of
+    side k^2 is formed or factored, and no eigenvalue routine runs."""
+    k = 5
+    shapes = []
+
+    def recorded(fn, of_result=False):
+        def wrapped(a, *args, **kwargs):
+            out = fn(a, *args, **kwargs)
+            shapes.append((fn.__name__, np.shape(out if of_result else a)))
+            return out
+        return wrapped
+
+    for name in ("svdvals", "solve", "eigvals"):
+        monkeypatch.setattr(la, name, recorded(getattr(la, name)))
+    monkeypatch.setattr(np, "kron", recorded(np.kron, of_result=True))
+    rng = rand.trial_rng(71, 0)
+    c, d = _sylvester_pair(rng, k, False)
+    res = tn.sylvester(c, d, rand._complex_gauss(rng, k, k))
+    assert res.solvable
+    assert (k * k, k * k) not in [shape for _, shape in shapes]
+    assert "eigvals" not in [name for name, _ in shapes]
+
+
+def test_sylvester_side_64_allocates_far_less_than_the_kronecker_map():
+    k = 64
+    rng = rand.trial_rng(73, 0)
+    c, d = _sylvester_pair(rng, k, True)
+    w = rand._complex_gauss(rng, k, k)
+    tracemalloc.start()
+    try:
+        res = tn.sylvester(c, d, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.solvable
+    # the dense complex map alone would take k^4 * 16 bytes (268 MB)
+    assert peak < k ** 4 * 16 / 32
 
 
 def test_block_projection_range_complement_orientation():
