@@ -5,7 +5,9 @@ prints a one-object summary; ``demo`` runs one of the worked constructions;
 ``study`` emits truncation-study rows; ``riesz`` computes a single contour
 projection.  All output is deterministic for a fixed seed and flag set.
 
-Exit codes: 0 on success, 1 when a numerical check fails, 2 on bad
+Each command returns its JSON payload, its CSV table (header first) and
+its verdict; :func:`main` writes one of the two and maps the verdict to the
+exit code: 0 on success, 1 when a numerical check fails, 2 on bad
 parameters or a file that cannot be read or written.
 """
 
@@ -47,13 +49,9 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _emit_payload(obj, fmt, out, drop_for_csv=()):
-    if fmt == "csv":
-        slim = {k: v for k, v in obj.items() if k not in drop_for_csv}
-        text = matio.dumps_csv([slim])
-    else:
-        text = matio.dumps_json(obj)
-    matio.write_text(text, out or sys.stdout)
+def _one_row(report):
+    """The CSV table of a flat report: its keys over its values."""
+    return [list(report), list(report.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +161,7 @@ def cmd_check(args):
         "max_residual": worst,
         "pass": bool(worst <= args.tol),
     }
-    _emit_payload(summary, args.format, args.out)
-    return 0 if summary["pass"] else 1
+    return summary, _one_row(summary), summary["pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +182,7 @@ def cmd_demo_finite_rank(args):
     }
     scale = max(1.0, _spec_norm(q)) ** 2 * max(1.0, ws.weight_cond)
     ok = report["idempotency_res"] <= args.tol * scale
-    _emit_payload(report, args.format, args.out)
-    return 0 if ok else 1
+    return report, _one_row(report), ok
 
 
 def _riesz_run(args):
@@ -206,29 +202,27 @@ def _riesz_run(args):
         "idempotency_res": diag.idempotency_res,
         "plus_res": diag.plus_res,
         "range_dim": diag.range_dim,
-        "q": np.stack([pair.p.matrix.real, pair.p.matrix.imag], axis=-1),
     }
     ok = diag.idempotency_res <= 1e-8 and diag.plus_res <= 1e-8
-    _emit_payload(report, args.format, args.out, drop_for_csv=("q",))
-    return 0 if ok else 1
+    # the projection itself goes to JSON only, as a float64 (re, im) stack
+    q = np.stack([pair.p.matrix.real, pair.p.matrix.imag], axis=-1)
+    return {**report, "q": q}, _one_row(report), ok
 
 
 def cmd_demo_cq(args):
     z = parse_matrix_literal(args.z, args.k)
     model = schatten.matrix_space(2 * z.shape[0])
-    report = schatten.cq_compat_demo(model, z)
-    _emit_payload(asdict(report), args.format, args.out)
-    return 0
+    report = asdict(schatten.cq_compat_demo(model, z))
+    return report, _one_row(report), True
 
 
 def cmd_demo_two_companions(args):
     z = parse_matrix_literal(args.z, args.k)
     t = parse_matrix_literal(args.t, args.k)
     model = schatten.matrix_space(2 * z.shape[0])
-    report = schatten.two_companions_demo(model, z, t)
-    _emit_payload(asdict(report), args.format, args.out)
-    return 0 if (report.fixed_kernel and report.transported_to_block_range) \
-        else 1
+    report = asdict(schatten.two_companions_demo(model, z, t))
+    ok = report["fixed_kernel"] and report["transported_to_block_range"]
+    return report, _one_row(report), ok
 
 
 def cmd_demo_sylvester(args):
@@ -244,21 +238,37 @@ def cmd_demo_sylvester(args):
     ok = (not result.solvable) or result.residual <= args.tol * (
         1.0 + _spec_norm(w)
     )
-    _emit_payload(report, args.format, args.out)
-    return 0 if ok else 1
+    return report, _one_row(report), ok
 
 
 # ---------------------------------------------------------------------------
 # studies
 
+_STUDY_COLUMNS = ["n", "margin_c", "q_norm", "g_enorm"]
+
+
 def cmd_study(args):
+    """Rows as JSON objects with ``aux`` nested and a missing ``g_enorm``
+    as null, or as a CSV table with ``aux`` inlined and NaN spelled out;
+    ``aux`` keys are sorted in both.  With no sizes, a bare header."""
     if args.family == "diverge":
         rows = studies.diverging_vector_study(args.dims, args.beta,
                                               control=args.control)
     else:
         rows = studies.symmetry_truncation_study(args.ks)
-    studies.emit_rows(rows, args.format, args.out or sys.stdout)
-    return 0
+    payload = [
+        {"n": row.n, "margin_c": row.margin_c, "q_norm": row.q_norm,
+         "g_enorm": None if np.isnan(row.g_enorm) else row.g_enorm,
+         "aux": dict(sorted(row.aux.items()))}
+        for row in rows
+    ]
+    aux_keys = sorted(rows[0].aux) if rows else []
+    table = [_STUDY_COLUMNS + aux_keys] + [
+        [row.n, row.margin_c, row.q_norm, row.g_enorm,
+         *(row.aux[key] for key in aux_keys)]
+        for row in rows
+    ]
+    return payload, table, True
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +372,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, table, ok = args.func(args)
+        text = matio.dumps_csv(table) if args.format == "csv" \
+            else matio.dumps_json(payload)
+        matio.write_text(text, args.out or sys.stdout)
     except (ParameterError, ValueError) as exc:
         print(f"twonorm: {exc}", file=sys.stderr)
         return 2
     except (TwoNormError, ArithmeticError) as exc:
         print(f"twonorm: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

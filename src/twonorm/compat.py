@@ -161,19 +161,25 @@ def compat_margin(ws, s, t=None):
     """
     if t is None:
         t = s.complement
-    pair = oblique_projection(ws, s, t)
+    return _margin(ws, oblique_projection(ws, s, t))
+
+
+def _margin(ws, pair):
+    """:func:`compat_margin` of a built projection pair: ``C`` from
+    ``pair.p`` and ``pair.p_plus``, the canonical projection from
+    ``pair.range_sub``."""
     c = _c_matrix(pair)
     svals = la.svdvals(c)
     margin = float(svals[-1])
     kappa_c = float(svals[0] / svals[-1]) if margin > 0.0 else np.inf
-    q = _lproj_matrix(ws, s)
+    q = _lproj_matrix(ws, pair.range_sub)
     residual = None
     if margin < 1e-12 * svals[0]:
         warnings.warn(
             "splitting operator is numerically singular; using the direct "
             "projection route only",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     else:
         q_formula = la.solve(c, pair.p_plus.matrix)

@@ -1,7 +1,7 @@
 """Plain-text formats, and the package's one reader and one writer.
 
-Command payloads are JSON (two-space indent, no NaN) or CSV (flat rows
-under a header of the first row's keys).  A JSON payload may hold float64
+Command payloads are JSON (two-space indent, no NaN) or CSV (a header
+line, then one line per row).  A JSON payload may hold float64
 arrays, written byte for byte as their nested lists would be.  Matrix
 files carry a ``rows cols`` header line followed by one line per row, each
 entry written as a comma-joined ``re,im`` pair and entries separated by
@@ -92,13 +92,11 @@ def _csv_cell(val):
     return repr(val) if isinstance(val, (int, float)) else str(val)
 
 
-def dumps_csv(rows):
-    """Flat dicts as CSV under a header of the first row's keys.  Cells:
-    ``true``/``false`` for a bool, empty for None, ``repr`` of an int or a
-    float, ``str`` of anything else."""
-    keys = list(rows[0])
-    body = [",".join(_csv_cell(row[k]) for k in keys) for row in rows]
-    return "\n".join([",".join(keys)] + body) + "\n"
+def dumps_csv(table):
+    """A table as CSV: ``table`` is the header's cells, then each row's.
+    Cells: ``true``/``false`` for a bool, empty for None, ``repr`` of an
+    int or a float, ``str`` of anything else."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in table)
 
 
 def write_text(text, sink):

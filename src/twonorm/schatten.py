@@ -29,8 +29,13 @@ from .space import (
     _require,
     _spec_norm,
 )
-from .compat import compat_margin
-from .subspaces import _projection_range_kernel, span, subspace_equal
+from .compat import _margin
+from .subspaces import (
+    ProjPair,
+    _projection_range_kernel,
+    span,
+    subspace_equal,
+)
 
 __all__ = [
     "MatrixSpaceModel",
@@ -312,20 +317,20 @@ def cq_compat_demo(model, z):
     -------
     CqReport
     """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise DimMismatch(f"block must be square, got shape {z.shape}")
-    if model.k != 2 * z.shape[0]:
-        raise DimMismatch(
-            f"model side {model.k} does not match block side {z.shape[0]}"
-        )
     q = block_idempotent(z)
+    k = q.shape[0] // 2
+    if model.k != 2 * k:
+        raise DimMismatch(
+            f"model side {model.k} does not match block side {k}"
+        )
     cq = two_sided_mult(model, q, q)
     _, rng, ker = _projection_range_kernel(model.ws, cq.matrix)
-    report = compat_margin(model.ws, rng, ker)
+    # cq is the projection onto its range along its kernel: margin it as
+    # built, so that C = cq + cq+ - I and C^-1 cq+ is checked against Q
+    report = _margin(model.ws, ProjPair(cq, cq.plus, rng, ker))
     crit = z_criterion_margin(z)
     return CqReport(
-        k=z.shape[0],
+        k=k,
         pair_margin=crit.pair_margin,
         op_margin=crit.op_margin,
         margin_direct=report.margin_c,
@@ -338,7 +343,7 @@ def two_companions_demo(model, z, t):
     the transported subspace.
 
     ``z`` must be normal and invertible with a positive pair margin; ``t``
-    must be a self-adjoint involution.  Right multiplication by
+    must be a self-adjoint involution of the same size.  Right multiplication by
     ``diag(z, t)`` fixes the kernel of the two-sided multiplication and
     carries its range onto the range built from ``t``, whose pair margin is
     reported (zero when ``t`` has eigenvalues of both signs).
@@ -347,13 +352,14 @@ def two_companions_demo(model, z, t):
     -------
     TwoCompanionsReport
     """
-    z = np.asarray(z, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    k = z.shape[0]
+    q = block_idempotent(z)
+    k = q.shape[0] // 2
     if model.k != 2 * k:
         raise DimMismatch(
             f"model side {model.k} does not match block side {k}"
         )
+    z = np.asarray(z, dtype=complex)
+    t = _as_matrix(t, k, "t")
     _require(z @ z.conj().T - z.conj().T @ z,
              1e-10 * max(1.0, _spec_norm(z) ** 2), "z must be normal",
              ValueError)
@@ -365,7 +371,6 @@ def two_companions_demo(model, z, t):
     if z_margin <= 0.0:
         raise ValueError("z must have a positive pair margin")
 
-    q = block_idempotent(z)
     cq = two_sided_mult(model, q, q)
     _, rng, ker = _projection_range_kernel(model.ws, cq.matrix)
     x = la.block_diag(z, t)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from . import matio
 from .errors import BadExponent
 from .space import make_space, _spec_norm
 from .compat import compat_margin
@@ -29,7 +28,6 @@ __all__ = [
     "StudyRow",
     "diverging_vector_study",
     "symmetry_truncation_study",
-    "emit_rows",
 ]
 
 MONO_TOL = 1e-12
@@ -145,48 +143,3 @@ def symmetry_truncation_study(k_list):
             },
         ))
     return rows
-
-
-def rows_to_csv(rows):
-    """Render rows as CSV with a fixed, sorted column layout."""
-    if not rows:
-        return "n,margin_c,q_norm,g_enorm\n"
-    return matio.dumps_csv([
-        {"n": row.n, "margin_c": row.margin_c, "q_norm": row.q_norm,
-         "g_enorm": row.g_enorm,
-         **{k: float(v) for k, v in sorted(row.aux.items())}}
-        for row in rows
-    ])
-
-
-def rows_to_json_obj(rows):
-    """Rows as plain dicts; NaN becomes None for strict serializers."""
-    out = []
-    for row in rows:
-        g = None if np.isnan(row.g_enorm) else row.g_enorm
-        out.append({
-            "n": row.n,
-            "margin_c": row.margin_c,
-            "q_norm": row.q_norm,
-            "g_enorm": g,
-            "aux": {k: float(v) for k, v in sorted(row.aux.items())},
-        })
-    return out
-
-
-def emit_rows(rows, fmt, sink):
-    """Write rows to a path or file-like sink as CSV or JSON.
-
-    Raises
-    ------
-    IoFailure
-        When the sink cannot be written.
-    """
-    if fmt == "csv":
-        text = rows_to_csv(rows)
-    elif fmt == "json":
-        text = matio.dumps_json(rows_to_json_obj(rows))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    matio.write_text(text, sink)
-    return text

@@ -275,3 +275,56 @@ def test_options_no_command_reads_are_rejected(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "diverge", "--beta", "0.5", "--dims", ""],
+    ["study", "symmetry", "--ks", ""],
+])
+def test_empty_size_list_prints_a_bare_header_or_an_empty_list(argv):
+    assert run_cli(argv + ["--format", "csv"]) == \
+        (0, "n,margin_c,q_norm,g_enorm\n")
+    assert run_cli(argv + ["--format", "json"]) == (0, "[]\n")
+
+
+def test_riesz_csv_header_has_no_q_column():
+    code, out = run_cli(["riesz", "--t", "diag:1,2", "--lambda", "1",
+                         "--eps", "0.4", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[0] == \
+        "lambda_re,lambda_im,eps,m,idempotency_res,plus_res,range_dim"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["study", "symmetry", "--ks", "2,4"],
+    ["study", "diverge", "--beta", "0.4", "--dims", "8,16"],
+    ["riesz", "--t", "diag:1,2", "--lambda", "1", "--eps", "0.4"],
+])
+def test_out_file_holds_the_bytes_stdout_would(argv, fmt, tmp_path):
+    argv = argv + ["--format", fmt]
+    code, out = run_cli(argv)
+    assert code == 0
+    target = tmp_path / "out.txt"
+    assert run_cli(argv + ["--out", str(target)]) == (0, "")
+    assert target.read_bytes() == out.encode("ascii")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["demo", "cq", "--z", "{z23}"],
+     "block must be square, got shape (2, 3)"),
+    (["demo", "two_companions", "--z", "{z23}", "--t", "diag:1,-1"],
+     "block must be square, got shape (2, 3)"),
+    (["demo", "two_companions", "--z", "scalar:0.5", "--t", "diag:1,-1,1",
+      "--k", "2"],
+     "t must be 2 x 2, got shape (3, 3)"),
+    (["demo", "two_companions", "--z", "diag:0.5,0.6", "--t", "{z23}"],
+     "t must be square, got shape (2, 3)"),
+])
+def test_demo_operands_of_the_wrong_shape_exit_with_dim_mismatch(
+        argv, message, tmp_path, capsys):
+    path = tmp_path / "z23.mat"
+    matio.dump_matrix(np.ones((2, 3)), path)
+    argv = [arg.format(z23=f"file:{path}") for arg in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"twonorm: {message}\n"

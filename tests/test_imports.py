@@ -2,8 +2,8 @@
 every module-level private function is read by some module of it, every
 cross-check that raises on a spectral norm goes through
 ``space._require``, no public name is declared by two modules, only
-``matio`` imports ``json``, and the command line starts without
-``scipy.sparse``."""
+``matio`` imports ``json``, only ``cli`` imports ``matio``, and the
+command line starts without ``scipy.sparse``."""
 
 import ast
 import subprocess
@@ -232,6 +232,47 @@ def test_json_import_outside_matio_is_reported(tmp_path):
                  "from .matio import dumps_json\n")
     assert _json_importers([matio, a, b]) == ["a.py:1 json",
                                               "a.py:5 json.decoder"]
+
+
+def _matio_importers(modules):
+    """Imports of the package's ``matio``, at any depth and in any form,
+    in modules other than ``cli.py``, which renders every payload, and
+    ``matio.py`` itself.  The numerics then load without it."""
+    hits = []
+    for path in modules:
+        if path.name in ("cli.py", "matio.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" if module
+                                    else alias.name for alias in node.names]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name.split(".")[-1] == "matio"]
+    return sorted(hits)
+
+
+def test_only_cli_imports_matio():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _matio_importers(modules) == []
+
+
+def test_matio_import_outside_cli_is_reported(tmp_path):
+    cli = tmp_path / "cli.py"
+    cli.write_text("from . import matio\n")
+    a = tmp_path / "a.py"
+    a.write_text("import os\nfrom . import compat, matio\n\n\n"
+                 "def f():\n    from .matio import dumps_json\n")
+    b = tmp_path / "b.py"
+    b.write_text("import twonorm.matio\nfrom .matrix import matio_like\n")
+    assert _matio_importers([cli, a, b]) == ["a.py:2 matio",
+                                             "a.py:6 matio",
+                                             "b.py:1 twonorm.matio"]
 
 
 

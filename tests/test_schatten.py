@@ -438,6 +438,45 @@ def test_cq_demo_rejects_wrong_model_size():
         tn.cq_compat_demo(tn.matrix_space(2), 0.5 * np.eye(2))
 
 
+def test_cq_demo_margins_the_superoperator_it_built(monkeypatch):
+    """The direct margin is the smallest singular value of
+    ``cq + cq* - I`` for the flattened ``x -> q x q``, bit for bit: the
+    demo does not rebuild ``cq`` as an oblique projection."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the projection was rebuilt")
+
+    monkeypatch.setattr(tn.compat, "oblique_projection", forbidden)
+    for trial in range(8):
+        rng = rand.trial_rng(62, trial)
+        k = 1 + trial % 4
+        z = rand._complex_gauss(rng, k, k)
+        rep = tn.cq_compat_demo(tn.matrix_space(2 * k), z)
+        q = tn.block_idempotent(z)
+        cq = np.kron(q.T, q)
+        c = cq + cq.conj().T - np.eye(cq.shape[0])
+        assert rep.margin_direct == la.svdvals(c)[-1]
+
+
+def test_demos_reject_non_square_blocks_before_the_model_size():
+    z = np.ones((2, 3))
+    for run in (lambda: tn.cq_compat_demo(tn.matrix_space(4), z),
+                lambda: tn.two_companions_demo(tn.matrix_space(4), z,
+                                               np.diag([1.0, -1.0]))):
+        with pytest.raises(DimMismatch,
+                           match=r"^block must be square, got shape \(2, 3\)$"):
+            run()
+
+
+def test_two_companions_rejects_t_of_another_size():
+    model = tn.matrix_space(4)
+    with pytest.raises(DimMismatch,
+                       match=r"^t must be 2 x 2, got shape \(3, 3\)$"):
+        tn.two_companions_demo(model, 0.5 * np.eye(2), np.eye(3))
+    with pytest.raises(DimMismatch,
+                       match=r"^t must be square, got shape \(2, 3\)$"):
+        tn.two_companions_demo(model, 0.5 * np.eye(2), np.ones((2, 3)))
+
+
 def test_two_companions_frozen_rows():
     model = tn.matrix_space(4)
     rep = tn.two_companions_demo(model, 0.5 * np.eye(2), np.diag([1.0, -1.0]))

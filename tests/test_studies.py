@@ -1,16 +1,18 @@
-"""Truncation studies and their row serialization."""
+"""Truncation studies, and their rows as the command line prints them."""
 
 import io
 import json
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 import twonorm as tn
+import twonorm.cli as cli
 import twonorm.schatten as schatten
 import twonorm.studies as studies
-from twonorm.errors import BadExponent, IoFailure
+from twonorm.errors import BadExponent
 from twonorm.studies import StudyRow
 
 
@@ -116,48 +118,53 @@ def test_symmetry_margin_against_matrix_unit_oracle():
     assert row.q_norm == pytest.approx(sv[0], abs=1e-9)
 
 
+def run_study(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["study"] + argv)
+    assert code == 0
+    return buf.getvalue()
+
+
 def test_csv_layout():
-    rows = tn.diverging_vector_study([8], 0.5)
-    text = studies.rows_to_csv(rows)
+    text = run_study(["diverge", "--beta", "0.5", "--dims", "8"])
     lines = text.strip().splitlines()
     assert lines[0] == "n,margin_c,q_norm,g_enorm"
     assert lines[1] == "8,0.41824406338917597,1.4045962625738677,1.648592473250179"
 
 
 def test_csv_appends_sorted_aux_columns():
-    text = studies.rows_to_csv(tn.symmetry_truncation_study([2]))
+    text = run_study(["symmetry", "--ks", "2"])
     header = text.splitlines()[0]
     assert header == "n,margin_c,q_norm,g_enorm,min_symmetric,op_margin,pair_margin"
 
 
-def test_csv_spells_out_missing_values():
+def test_csv_spells_out_missing_values(monkeypatch):
     row = StudyRow(n=2, margin_c=1.0, q_norm=2.0, g_enorm=float("nan"), aux={})
-    text = studies.rows_to_csv([row])
+    monkeypatch.setattr(studies, "symmetry_truncation_study", lambda ks: [row])
+    text = run_study(["symmetry", "--ks", "2"])
     assert text.splitlines()[1] == "2,1.0,2.0,nan"
 
 
 def test_json_rows_replace_missing_norm_with_null():
-    rows = tn.symmetry_truncation_study([2])
-    obj = studies.rows_to_json_obj(rows)
+    obj = json.loads(run_study(["symmetry", "--ks", "2", "--format", "json"]))
     assert obj[0]["g_enorm"] is None
     assert obj[0]["aux"]["pair_margin"] == 0.0
     json.dumps(obj, allow_nan=False)
 
 
-def test_emit_rows_to_stream_and_determinism():
-    rows = tn.diverging_vector_study([8, 16], 0.5)
-    buf1 = io.StringIO()
-    buf2 = io.StringIO()
-    studies.emit_rows(rows, "csv", buf1)
-    studies.emit_rows(rows, "csv", buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    jbuf = io.StringIO()
-    studies.emit_rows(rows, "json", jbuf)
-    parsed = json.loads(jbuf.getvalue())
+def test_study_output_is_deterministic_in_both_formats():
+    argv = ["diverge", "--beta", "0.5", "--dims", "8,16"]
+    assert run_study(argv) == run_study(argv)
+    parsed = json.loads(run_study(argv + ["--format", "json"]))
     assert parsed[0]["n"] == 8
 
 
-def test_emit_rows_wraps_os_errors(tmp_path):
-    rows = tn.diverging_vector_study([8], 0.5)
-    with pytest.raises(IoFailure):
-        studies.emit_rows(rows, "csv", str(tmp_path))
+def test_study_out_to_a_directory_fails_as_io_failure(tmp_path, capsys):
+    """``IoFailure`` is the one error that says "could not write"; it
+    blames the input, so the exit code is 2."""
+    argv = ["study", "diverge", "--beta", "0.5", "--dims", "8",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"twonorm: could not write {tmp_path}: ")
