@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import compat, matio, rand, schatten, spectra, studies, subspaces
-from .errors import ParameterError, TwoNormError
+from .errors import DimMismatch, ParameterError, TwoNormError
 from .space import Operator, gz_bound_check, make_space, _spec_norm
 
 __all__ = ["main"]
@@ -139,18 +139,21 @@ def _suite_spectra(rng, dim):
 
 
 _SUITES = {
-    "adjoint": _suite_adjoint,
-    "gz": _suite_gz,
-    "buckholtz": _suite_buckholtz,
-    "compat": _suite_compat,
-    "krein": _suite_krein,
-    "lemma": _suite_lemma,
-    "spectra": _suite_spectra,
+    "adjoint": (_suite_adjoint, 1),
+    "gz": (_suite_gz, 1),
+    "buckholtz": (_suite_buckholtz, 2),
+    "compat": (_suite_compat, 2),
+    "krein": (_suite_krein, 2),
+    "lemma": (_suite_lemma, 2),
+    "spectra": (_suite_spectra, 1),
 }
 
 
 def cmd_check(args):
-    suite = _SUITES[args.suite]
+    suite, min_dim = _SUITES[args.suite]
+    if args.dim < min_dim:
+        raise DimMismatch(f"--dim must be at least {min_dim} for the "
+                          f"{args.suite} suite, got {args.dim}")
     worst = 0.0
     for trial in range(args.trials):
         rng = rand.trial_rng(args.seed, trial)

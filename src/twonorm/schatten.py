@@ -5,17 +5,19 @@ Matrices are flattened by column stacking, so the superoperator of
 weight is the identity: the weighted inner product is the Frobenius pairing
 ``<x, y> = tr(y* x)`` and the ambient norm is the trace norm.  The
 plus-adjoint of a flattened superoperator is then its conjugate transpose,
-which sends ``x -> z* x z`` to ``y -> z y z*``.
+which sends ``x -> z* x z`` to ``y -> z y z*``.  :func:`two_sided_mult`
+builds every multiplication map, a one-sided one with ``I`` as a factor.
 
 The worked subspace family lives on 2k x 2k block matrices: the idempotent
 ``q = [[I, z], [0, 0]]`` generates the range ``{q x q}`` and kernel of the
 two-sided multiplication by ``q``.  One margin family for that range comes
 from the eigenvalue criterion on ``I + (conjugation by z)``; the direct
-compatibility margin of the range against the kernel is computed
-independently and reported next to it, never asserted equal.
+compatibility margin of the range against the kernel, exactly 1, is
+reported next to it, never asserted equal.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as la
@@ -29,13 +31,7 @@ from .space import (
     _require,
     _spec_norm,
 )
-from .compat import _margin
-from .subspaces import (
-    ProjPair,
-    _projection_range_kernel,
-    span,
-    subspace_equal,
-)
+from .subspaces import span, subspace_equal
 
 __all__ = [
     "MatrixSpaceModel",
@@ -47,8 +43,6 @@ __all__ = [
     "matrix_space",
     "vec",
     "unvec",
-    "left_mult",
-    "right_mult",
     "two_sided_mult",
     "sandwich",
     "block_idempotent",
@@ -74,10 +68,13 @@ TOL_ADZ = 1e-6
 
 @dataclass(frozen=True)
 class MatrixSpaceModel:
-    """The space of k x k matrices flattened to a trace-tag weighted space."""
+    """The k x k matrices as a trace-tag space; ``ws`` is built lazily."""
 
     k: int
-    ws: object
+
+    @cached_property
+    def ws(self):
+        return make_space(self.k * self.k, np.eye(self.k * self.k), "trace")
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,8 @@ class SylvesterResult:
 class CqReport:
     """Side-by-side margins for the block-idempotent range subspace.
 
-    ``margin_direct`` and ``q_norm`` come from the compatibility machinery
-    applied to the range/kernel pair of the two-sided multiplication;
+    ``margin_direct`` and ``q_norm`` (the trace norm of the canonical
+    projection) are exactly 1 (:func:`_cq_margins`);
     ``pair_margin`` and ``op_margin`` come from the eigenvalue criterion on
     the conjugation map.  The two families answer different questions and
     are reported together without any cross-assertion.
@@ -142,7 +139,7 @@ def matrix_space(k):
     """Model of the k x k matrices with the trace ambient norm."""
     if k < 1:
         raise DimMismatch(f"matrix side must be positive, got {k}")
-    return MatrixSpaceModel(k=k, ws=make_space(k * k, np.eye(k * k), "trace"))
+    return MatrixSpaceModel(k=k)
 
 
 def vec(x):
@@ -155,20 +152,8 @@ def unvec(v, k):
     return np.asarray(v, dtype=complex).reshape((k, k), order="F")
 
 
-def left_mult(model, a):
-    """Superoperator of ``x -> a x``."""
-    a = _as_matrix(a, model.k, "a")
-    return Operator(np.kron(np.eye(model.k), a), model.ws)
-
-
-def right_mult(model, b):
-    """Superoperator of ``x -> x b``."""
-    b = _as_matrix(b, model.k, "b")
-    return Operator(np.kron(b.T, np.eye(model.k)), model.ws)
-
-
 def two_sided_mult(model, a, b):
-    """Superoperator of ``x -> a x b``."""
+    """Superoperator of ``x -> a x b``, one-sided with ``I`` as a factor."""
     a = _as_matrix(a, model.k, "a")
     b = _as_matrix(b, model.k, "b")
     return Operator(np.kron(b.T, a), model.ws)
@@ -303,38 +288,68 @@ def sylvester(c, d, w, force=False):
     return SylvesterResult(True, x, margin, residual)
 
 
+def _cq_margins(z):
+    """``(margin_c, |M|_2, q_norm)`` for ``M: x -> q x q`` in Frobenius
+    coordinates, ``q`` the block idempotent built from ``z``.
+
+    ``C = M + M* - I`` squares to ``I + (M - M*)(M - M*)*`` since ``M`` is
+    idempotent, so its singular values are at least 1 (Halmos, Trans. AMS
+    144, 1969), and ``C = -I`` on ``ker M`` meet ``ker M*``, of dimension
+    at least ``2k^2``: ``margin_c = 1``.  ``M = q^T (x) q`` and
+    ``q q* = diag(I + z z*, 0)``, so ``|M|_2 = 1 + |z|_2^2``.  The range
+    of ``M`` is ``{x : col(x) <= col(q), row(x) <= row(q)}``, so the
+    canonical (Frobenius-orthogonal) projection onto it is ``x -> E x F``
+    with ``E``, ``F`` orthogonal projections: ``q_norm``, its trace-norm
+    operator norm, is 1.
+    """
+    return 1.0, 1.0 + _spec_norm(np.asarray(z)) ** 2, 1.0
+
+
 def cq_compat_demo(model, z):
     """Margins for the range of two-sided multiplication by the block
     idempotent built from ``z``.
 
     ``model`` must be the matrix space of side ``2k`` for a k x k ``z``.
     The direct margin is the compatibility margin of the range against the
-    kernel; the criterion margins come from the eigenvalue test on the
-    conjugation map.  Both are reported; no equality between the families
-    is asserted.
+    kernel (exactly 1, see :func:`_cq_margins`); the criterion margins come
+    from the eigenvalue test on the conjugation map.  Both are reported; no
+    equality between the families is asserted.
 
     Returns
     -------
     CqReport
     """
-    q = block_idempotent(z)
-    k = q.shape[0] // 2
+    k = block_idempotent(z).shape[0] // 2
     if model.k != 2 * k:
         raise DimMismatch(
             f"model side {model.k} does not match block side {k}"
         )
-    cq = two_sided_mult(model, q, q)
-    _, rng, ker = _projection_range_kernel(model.ws, cq.matrix)
-    # cq is the projection onto its range along its kernel: margin it as
-    # built, so that C = cq + cq+ - I and C^-1 cq+ is checked against Q
-    report = _margin(model.ws, ProjPair(cq, cq.plus, rng, ker))
+    margin, _, q_norm = _cq_margins(z)
     crit = z_criterion_margin(z)
     return CqReport(
         k=k,
         pair_margin=crit.pair_margin,
         op_margin=crit.op_margin,
-        margin_direct=report.margin_c,
-        q_norm=report.q_norm,
+        margin_direct=margin,
+        q_norm=q_norm,
+    )
+
+
+def _transport_verdicts(q, q_t, x):
+    """``(fixed_kernel, transported_to_block_range)`` for the right
+    multiplication by an invertible ``x``, from 2k x 2k column spaces.
+
+    ``q y q = 0`` exactly when ``y`` maps ``col(q)`` into ``ker q``, so the
+    kernel moved to ``{y : q y x^-1 q = 0}`` is itself exactly when
+    ``col(x q) = col(q)``.  The range ``{y : col(y) <= col(q),
+    row(y) <= row(q)}`` moves to columns in ``col(q)``, rows in
+    ``row(q x)``.
+    """
+    col = partial(span, make_space(len(q), np.eye(len(q))))
+    return (
+        subspace_equal(col(x @ q), col(q)),
+        subspace_equal(col(q), col(q_t))
+        and subspace_equal(col((q @ x).conj().T), col(q_t.conj().T)),
     )
 
 
@@ -371,19 +386,8 @@ def two_companions_demo(model, z, t):
     if z_margin <= 0.0:
         raise ValueError("z must have a positive pair margin")
 
-    cq = two_sided_mult(model, q, q)
-    _, rng, ker = _projection_range_kernel(model.ws, cq.matrix)
-    x = la.block_diag(z, t)
-    g = right_mult(model, x)
-    moved_rng = span(model.ws, g.matrix @ rng.basis)
-    moved_ker = span(model.ws, g.matrix @ ker.basis)
-    q_t = block_idempotent(t)
-    _, target_rng, _ = _projection_range_kernel(
-        model.ws, two_sided_mult(model, q_t, q_t).matrix
-    )
     return TwoCompanionsReport(
-        fixed_kernel=subspace_equal(moved_ker, ker),
-        transported_to_block_range=subspace_equal(moved_rng, target_rng),
+        *_transport_verdicts(q, block_idempotent(t), la.block_diag(z, t)),
         transported_pair_margin=_pair_margin(t),
         original_pair_margin=z_margin,
     )

@@ -16,13 +16,12 @@ monotonicity facts stated for the rows themselves.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import BadExponent
-from .space import make_space, _spec_norm
+from .space import make_space
 from .compat import compat_margin
 from .subspaces import span
-from .schatten import block_idempotent, z_criterion_margin
+from .schatten import z_criterion_margin, _cq_margins
 
 __all__ = [
     "StudyRow",
@@ -110,9 +109,10 @@ def symmetry_truncation_study(k_list):
 
     For every even ``k`` the block ``z = diag(1, .., 1, -1, .., -1)`` has
     eigenvalue pairs multiplying to ``-1``, so both criterion margins
-    vanish identically; the rows record them together with the smallest
-    symmetrized eigenvalue of the involution attached to the two-sided
-    multiplication, all in Frobenius coordinates.
+    vanish identically; the rows record them next to the closed form of
+    ``M: x -> q x q`` (:func:`twonorm.schatten._cq_margins`): ``margin_c``
+    1, ``q_norm = |M|_2 = 2`` and ``min_symmetric = 2 margin_c``, since the
+    symmetrized involution ``v + v*`` for ``v = 2M - I`` is ``2C``.
 
     Returns
     -------
@@ -124,22 +124,16 @@ def symmetry_truncation_study(k_list):
             raise ValueError(f"truncation sizes must be even and >= 2, got {k}")
         z = np.diag(np.concatenate([np.ones(k // 2), -np.ones(k // 2)]))
         crit = z_criterion_margin(z)
-        q = block_idempotent(z)
-        # column-stacked superoperator of x -> q x q
-        m = np.kron(q.T, q)
-        eye = np.eye(m.shape[0])
-        c = m + m.conj().T - eye
-        v = 2.0 * m - eye
-        sym_eigs = la.eigvalsh(v + v.conj().T)
+        margin, m_norm, _ = _cq_margins(z)
         rows.append(StudyRow(
             n=k,
-            margin_c=float(la.svdvals(c)[-1]),
-            q_norm=_spec_norm(m),
+            margin_c=margin,
+            q_norm=m_norm,
             g_enorm=float("nan"),
             aux={
                 "pair_margin": crit.pair_margin,
                 "op_margin": crit.op_margin,
-                "min_symmetric": float(np.abs(sym_eigs).min()),
+                "min_symmetric": 2.0 * margin,
             },
         ))
     return rows

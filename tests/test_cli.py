@@ -63,9 +63,21 @@ def test_check_fails_cleanly_on_impossible_tolerance():
     assert json.loads(out)["pass"] is False
 
 
-def test_check_rejects_bad_dimension():
-    code, _ = run_cli(["check", "adjoint", "--dim", "0"])
-    assert code == 2
+def test_check_rejects_bad_dimension(capsys):
+    """Each suite names its smallest ``--dim`` and exits 2 below it, before
+    drawing anything; at the minimum it runs."""
+    minimums = {"adjoint": 1, "gz": 1, "spectra": 1, "buckholtz": 2,
+                "compat": 2, "krein": 2, "lemma": 2}
+    assert set(minimums) == set(cli._SUITES)
+    for suite, low in minimums.items():
+        for dim in range(-1, low):
+            code, out = run_cli(["check", suite, "--dim", str(dim)])
+            assert (code, out) == (2, "")
+            assert capsys.readouterr().err == (
+                f"twonorm: --dim must be at least {low} for the {suite} "
+                f"suite, got {dim}\n")
+        code, out = run_cli(["check", suite, "--dim", str(low), "--trials", "2"])
+        assert code != 2 and json.loads(out)["trials"] == 2
 
 
 def test_study_diverge_rejects_bad_exponent():

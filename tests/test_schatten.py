@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,8 +35,13 @@ def test_multiplication_superoperators_act_correctly():
     z = rand._complex_gauss(rng, 3, 3)
     x = rand._complex_gauss(rng, 3, 3)
     v = tn.vec(x)
-    assert np.allclose(tn.unvec(tn.left_mult(model, a).matrix @ v, 3), a @ x, atol=1e-12)
-    assert np.allclose(tn.unvec(tn.right_mult(model, b).matrix @ v, 3), x @ b, atol=1e-12)
+    eye = np.eye(3)
+    assert np.allclose(
+        tn.unvec(tn.two_sided_mult(model, a, eye).matrix @ v, 3), a @ x, atol=1e-12
+    )
+    assert np.allclose(
+        tn.unvec(tn.two_sided_mult(model, eye, b).matrix @ v, 3), x @ b, atol=1e-12
+    )
     assert np.allclose(
         tn.unvec(tn.two_sided_mult(model, a, b).matrix @ v, 3), a @ x @ b, atol=1e-12
     )
@@ -48,7 +54,7 @@ def test_left_multiplication_spectrum_repeats_coefficient_spectrum():
     rng = rand.trial_rng(40, 1)
     a = rand._complex_gauss(rng, 3, 3)
     evs_a = np.sort_complex(la.eigvals(a))
-    evs_l = np.sort_complex(la.eigvals(tn.left_mult(model, a).matrix))
+    evs_l = np.sort_complex(la.eigvals(tn.two_sided_mult(model, a, np.eye(3)).matrix))
     assert np.allclose(evs_l, np.sort_complex(np.repeat(evs_a, 3)), atol=1e-8)
 
 
@@ -56,8 +62,9 @@ def test_plus_adjoint_of_left_multiplication():
     model = tn.matrix_space(3)
     rng = rand.trial_rng(40, 2)
     a = rand._complex_gauss(rng, 3, 3)
-    lp = tn.plus_adjoint(model.ws, tn.left_mult(model, a)).matrix
-    assert _spec_norm(lp - tn.left_mult(model, a.conj().T).matrix) <= 1e-12
+    eye = np.eye(3)
+    lp = tn.plus_adjoint(model.ws, tn.two_sided_mult(model, a, eye)).matrix
+    assert _spec_norm(lp - tn.two_sided_mult(model, a.conj().T, eye).matrix) <= 1e-12
 
 
 def test_plus_adjoint_of_sandwich_swaps_the_coefficient():
@@ -402,10 +409,9 @@ def test_cq_demo_frozen_rows():
     assert rep.k == 2
 
 
-def test_superoperator_range_and_kernel_come_from_one_svd(monkeypatch):
+def test_superoperator_range_and_kernel_come_from_one_svd():
     """The range and kernel bases are those of span and null_space, bitwise,
-    from either rank rule, and the cq demo factors its superoperator once
-    for both."""
+    from either rank rule."""
     for k in range(1, 5):
         rng = rand.trial_rng(61, k)
         model = tn.matrix_space(2 * k)
@@ -418,43 +424,125 @@ def test_superoperator_range_and_kernel_come_from_one_svd(monkeypatch):
             assert np.array_equal(ker_sub.basis, la.null_space(m))
             assert rng_sub.rank + ker_sub.rank == model.ws.dim
 
-    null_space = la.null_space
-
-    def non_square_null_space(a, *args, **kwargs):
-        # complement_L takes the null space of an r x n adjoint basis
-        assert a.shape[0] != a.shape[1], "superoperator factored again"
-        return null_space(a, *args, **kwargs)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("superoperator factored again")
-
-    monkeypatch.setattr(la, "null_space", non_square_null_space)
-    monkeypatch.setattr(schatten, "span", forbidden)
-    tn.cq_compat_demo(tn.matrix_space(4), 0.5 * np.eye(2))
-
 
 def test_cq_demo_rejects_wrong_model_size():
     with pytest.raises(DimMismatch):
         tn.cq_compat_demo(tn.matrix_space(2), 0.5 * np.eye(2))
 
 
-def test_cq_demo_margins_the_superoperator_it_built(monkeypatch):
-    """The direct margin is the smallest singular value of
-    ``cq + cq* - I`` for the flattened ``x -> q x q``, bit for bit: the
-    demo does not rebuild ``cq`` as an oblique projection."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the projection was rebuilt")
-
-    monkeypatch.setattr(tn.compat, "oblique_projection", forbidden)
-    for trial in range(8):
+def test_cq_demo_margins_are_exact_against_the_kronecker_oracle():
+    """``margin_direct`` and ``q_norm`` are exactly 1.  The dense
+    ``M: x -> q x q`` confirms the closed forms: the smallest singular value
+    of ``C = M + M* - I`` is 1 and the largest of ``M`` is ``1 + |z|^2``,
+    within ``32 u (1 + |z|^2)`` (an SVD's backward error at that norm), and
+    the orthogonal projection onto the range of ``M`` is ``x -> E x F``
+    with ``E``, ``F`` the orthogonal projections onto ``col(q)`` and
+    ``row(q)``, of trace norm 1."""
+    u = np.finfo(float).eps
+    for trial in range(12):
         rng = rand.trial_rng(62, trial)
         k = 1 + trial % 4
-        z = rand._complex_gauss(rng, k, k)
+        z = rand._complex_gauss(rng, k, k) * 10.0 ** (trial % 3 - 1)
         rep = tn.cq_compat_demo(tn.matrix_space(2 * k), z)
+        assert (rep.margin_direct, rep.q_norm) == (1.0, 1.0)
+        assert schatten._cq_margins(z)[::2] == (1.0, 1.0)
         q = tn.block_idempotent(z)
-        cq = np.kron(q.T, q)
-        c = cq + cq.conj().T - np.eye(cq.shape[0])
-        assert rep.margin_direct == la.svdvals(c)[-1]
+        m = np.kron(q.T, q)
+        c = m + m.conj().T - np.eye(m.shape[0])
+        bound = 32 * u * (1.0 + _spec_norm(z) ** 2)
+        assert abs(la.svdvals(c)[-1] - 1.0) <= bound
+        assert abs(la.svdvals(m)[0] - schatten._cq_margins(z)[1]) <= bound
+        basis = la.orth(m)
+        assert basis.shape[1] == k * k
+        pinv = np.linalg.pinv(q)
+        e, f = q @ pinv, pinv @ q
+        assert _spec_norm(basis @ basis.conj().T - np.kron(f.T, e)) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_cq_demo_is_exact_and_quiet_at_large_coupling(scale):
+    """The dense route lost the margin and warned falsely here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = tn.cq_compat_demo(tn.matrix_space(4),
+                                np.diag([scale, -0.3 * scale]))
+    assert (rep.margin_direct, rep.q_norm) == (1.0, 1.0)
+
+
+def test_matrix_space_demos_build_no_block_superoperator(monkeypatch):
+    """The cq and two_companions demos and the symmetry study read k x k
+    and 2k x 2k matrices: no Kronecker product has a factor of the block
+    side 2k, and the model's flattened weight is never built."""
+    factors = []
+    kron = np.kron
+
+    def recorded(a, b):
+        factors.extend([np.shape(a), np.shape(b)])
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", recorded)
+    k = 3
+    model = tn.matrix_space(2 * k)
+    z = rotated_normal(rand.trial_rng(44, 2), k)
+    tn.cq_compat_demo(model, z)
+    rep = tn.two_companions_demo(model, z, np.diag([1.0, -1.0, 1.0]))
+    assert rep.fixed_kernel and rep.transported_to_block_range
+    assert "ws" not in vars(model)
+    assert set(factors) == {(k, k)}
+    factors.clear()
+    tn.symmetry_truncation_study([4, 6])
+    assert set(factors) == {(4, 4), (6, 6)}
+
+
+def test_matrix_space_builds_its_weight_on_first_access():
+    with pytest.raises(DimMismatch):
+        tn.matrix_space(0)
+    model = tn.matrix_space(2)
+    assert "ws" not in vars(model)
+    ws = model.ws
+    assert model.ws is ws
+    assert (ws.dim, ws.enorm) == (4, "trace")
+    assert np.array_equal(ws.weight, np.eye(4))
+
+
+def _dense_transport_verdicts(q, q_t, x):
+    """Oracle for :func:`schatten._transport_verdicts`: range and kernel of
+    the flattened ``y -> q y q``, moved by the flattened ``y -> y x``."""
+    model = tn.matrix_space(q.shape[0])
+    rng_sub, ker_sub = _projection_range_kernel(
+        model.ws, tn.two_sided_mult(model, q, q).matrix)[1:]
+    target, _ = _projection_range_kernel(
+        model.ws, tn.two_sided_mult(model, q_t, q_t).matrix)[1:]
+    g = tn.two_sided_mult(model, np.eye(q.shape[0]), x).matrix
+    return (
+        tn.subspace_equal(tn.span(model.ws, g @ ker_sub.basis), ker_sub),
+        tn.subspace_equal(tn.span(model.ws, g @ rng_sub.basis), target),
+    )
+
+
+def test_two_companions_verdicts_match_the_kronecker_oracle():
+    """Block-diagonal ``x`` fixes the kernel and reaches the target range;
+    a coupling block above the diagonal keeps the kernel only, one below
+    it keeps neither, and so does a dense ``x``."""
+    seen = set()
+    for trial in range(12):
+        rng = rand.trial_rng(63, trial)
+        k = 1 + trial % 3
+        z = rand._complex_gauss(rng, k, k)
+        t = rand._complex_gauss(rng, k, k)
+        w = rand._complex_gauss(rng, k, k)
+        zero = np.zeros((k, k))
+        q, q_t = tn.block_idempotent(z), tn.block_idempotent(t)
+        for x, expect in (
+            (la.block_diag(z, t), (True, True)),
+            (np.block([[z, w], [zero, t]]), (True, False)),
+            (np.block([[z, zero], [w, t]]), (False, False)),
+            (rand._complex_gauss(rng, 2 * k, 2 * k), (False, False)),
+        ):
+            got = schatten._transport_verdicts(q, q_t, x)
+            assert got == _dense_transport_verdicts(q, q_t, x) == expect
+            seen.add(got)
+    assert len(seen) == 3
 
 
 def test_demos_reject_non_square_blocks_before_the_model_size():

@@ -262,7 +262,8 @@ def test_trace_norm_estimate_attains_singular_value_product():
 def test_gz_advisory_flag_set_for_trace_tag():
     model = tn.matrix_space(2)
     rng = rand.trial_rng(9, 50)
-    rep = tn.gz_bound_check(model.ws, tn.left_mult(model, rand._complex_gauss(rng, 2, 2)).matrix)
+    a = rand._complex_gauss(rng, 2, 2)
+    rep = tn.gz_bound_check(model.ws, tn.two_sided_mult(model, a, np.eye(2)).matrix)
     assert rep.advisory
 
 

@@ -82,11 +82,10 @@ def test_diverge_control_keeps_q_norm_flat():
 def test_symmetry_study_rows():
     rows = tn.symmetry_truncation_study([2, 4])
     for row in rows:
-        assert row.q_norm == pytest.approx(2.0, abs=1e-12)
-        assert row.margin_c == pytest.approx(1.0, abs=1e-9)
+        assert (row.margin_c, row.q_norm) == (1.0, 2.0)
         assert row.aux["pair_margin"] == 0.0
         assert row.aux["op_margin"] == 0.0
-        assert row.aux["min_symmetric"] == pytest.approx(2.0 * row.margin_c, abs=1e-9)
+        assert row.aux["min_symmetric"] == 2.0
         assert math.isnan(row.g_enorm)
 
 
