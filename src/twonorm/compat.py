@@ -38,8 +38,9 @@ from .subspaces import (
     span,
     subspace_contained,
     subspace_equal,
+    _idempotent_cut,
     _oblique_projection,
-    _projection_range_kernel,
+    _range_kernel,
     _validate_idempotent_pair,
 )
 
@@ -205,8 +206,8 @@ def krein_check(ws, s, q):
         norm).
     """
     m = as_matrix(q, ws)
-    norm, rng, ker = _projection_range_kernel(ws, m)
-    _require(m @ m - m, TOL_IDEM * max(1.0, norm) ** 2,
+    sv, rng, ker = _range_kernel(ws, m, _idempotent_cut)
+    _require(m @ m - m, TOL_IDEM * max(1.0, sv[0]) ** 2,
              "candidate matrix is not a projection", NotIdempotent)
     if not subspace_equal(rng, s):
         return False
@@ -287,12 +288,12 @@ def companion_metric(ws, s, t1, t2):
     return proper_norm(ws, pair1.p.matrix - pair2.p.matrix)
 
 
-def _rank_kernel(m):
-    """Rank and kernel basis of ``m`` from one SVD, at the default cutoff
-    ``s.max() * max(m.shape) * eps`` of ``matrix_rank`` and ``null_space``."""
-    _, sv, vh = la.svd(m)
-    rank = int(np.sum(sv > sv.max() * max(m.shape) * np.finfo(sv.dtype).eps))
-    return rank, vh[rank:].conj().T
+def _matrix_rank_cut(sv):
+    """The default cutoff ``s.max() * max(m.shape) * eps`` of
+    ``matrix_rank`` and ``null_space`` for a square ``m``, so the ranks
+    read from one SVD agree with the ``matrix_rank`` counts they are
+    compared with."""
+    return sv[0] * len(sv) * np.finfo(sv.dtype).eps
 
 
 def algebraic_lemma_check(ws, t1, t2):
@@ -313,15 +314,16 @@ def algebraic_lemma_check(ws, t1, t2):
     m1 = as_matrix(t1, ws)
     m2 = as_matrix(t2, ws)
     n = ws.dim
-    r1, null1 = _rank_kernel(m1)
-    r2, null2 = _rank_kernel(m2)
+    _, range1, null1 = _range_kernel(ws, m1, _matrix_rank_cut)
+    _, range2, null2 = _range_kernel(ws, m2, _matrix_rank_cut)
+    r1, r2 = range1.rank, range2.rank
     r_stack = int(np.linalg.matrix_rank(np.hstack([m1, m2])))
     if r_stack < r1 + r2:
         raise RangeOverlap(
             f"ranges share a subspace of dimension {r1 + r2 - r_stack}"
         )
-    null_rank = int(np.linalg.matrix_rank(np.hstack([null1, null2]))) \
-        if null1.size + null2.size else 0
+    nulls = np.hstack([null1.basis, null2.basis])
+    null_rank = int(np.linalg.matrix_rank(nulls)) if nulls.size else 0
     lhs = null_rank == n
     r_sum = int(np.linalg.matrix_rank(m1 + m2))
     rhs = r_sum == r1 + r2

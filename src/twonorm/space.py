@@ -171,6 +171,17 @@ class WeightedSpace:
         core = (core * ev[np.newaxis, :]) / ev[:, np.newaxis]
         return u @ core @ u.conj().T
 
+    def plus_factored(self, z, s):
+        """Plus-adjoint of ``Z S Z*`` from its factors, as
+        ``(A^{-1} Z) S* (A Z)*`` via the cached eigendecomposition of the
+        weight; it equals ``plus_matrix(Z S Z*)`` up to the rounding of
+        the two evaluation orders."""
+        u, ev = self._evecs, self._evals
+        zw = u.conj().T @ z
+        inv_a_z = u @ (zw / ev[:, np.newaxis])
+        a_z = u @ (zw * ev[:, np.newaxis])
+        return inv_a_z @ s.conj().T @ a_z.conj().T
+
     def l_coords(self, m):
         """Similarity A^{1/2} M A^{-1/2} expressing M in L-orthonormal
         coordinates (up to a unitary factor that leaves norms alone)."""

@@ -7,10 +7,15 @@ spectrum with the conjugated spectrum of the plus-adjoint.  At finite
 dimension the union collapses; the machinery still computes both sides.
 
 Riesz projections are evaluated as trapezoid sums of the resolvent over a
-circle.  The node set is symmetric under reflection in the horizontal line
-through the centre, which makes the plus-adjoint of the computed projection
-equal, node by node, to the contour sum for the plus-adjoint operator
-around the conjugated centre.
+circle, all read from one complex Schur form ``T = Z R Z*``: the guards
+read the eigenvalues from the diagonal of ``R``, and each resolvent is
+``Z (z - R)^{-1} Z*``, a triangular inverse.  Since ``T+ = A^{-1} Z R* Z* A``
+and the node set is symmetric under reflection in the horizontal line
+through the centre, the contour sum for the plus-adjoint operator around
+the conjugated centre is built from the same triangular inverses, and
+equals the plus-adjoint of the computed projection in exact arithmetic.
+The reported ``plus_res`` compares the two, so it measures the rounding
+of the ``A^{-1} . A`` similarity, not a second quadrature.
 """
 
 from dataclasses import dataclass
@@ -20,7 +25,7 @@ import scipy.linalg as la
 
 from .errors import ContourTooClose, NotIdempotent, NotIsolated
 from .space import Operator, as_matrix, as_operator, _require, _spec_norm
-from .subspaces import TOL_IDEM, ProjPair, _projection_range_kernel
+from .subspaces import TOL_IDEM, ProjPair, _idempotent_cut, _range_kernel
 
 __all__ = [
     "SpectrumReport",
@@ -132,25 +137,27 @@ def spectrum(ws, t, algebra="E"):
     return SpectrumReport(algebra=algebra, values=values, gaps=gaps)
 
 
-def _contour_sum(m, center, eps, nodes):
-    n = m.shape[0]
-    eye = np.eye(n)
-    acc = np.zeros((n, n), dtype=complex)
-    for theta in nodes:
-        phase = np.exp(1j * theta)
-        acc += phase * la.inv((center + eps * phase) * eye - m)
-    return (eps / len(nodes)) * acc
-
-
 def riesz_projection(ws, t, lam, eps, m=64):
     """Spectral projection by a trapezoid contour sum around ``lam``.
 
     The contour is the circle of radius ``eps`` centred at ``lam`` with
-    ``m`` equispaced nodes placed symmetrically about the horizontal line
-    through the centre.  Preconditions keep the quadrature honest: spectral
-    points other than the targeted cluster must stay out of the disc of
-    radius ``2 eps`` and every spectral point must keep a distance of at
-    least ``eps / 2`` from the contour itself.
+    ``m`` equispaced nodes ``z_j = lam + eps e^{i theta_j}`` placed
+    symmetrically about the horizontal line through the centre.
+    Preconditions keep the quadrature honest: spectral points other than
+    the targeted cluster must stay out of the disc of radius ``2 eps`` and
+    every spectral point must keep a distance of at least ``eps / 2`` from
+    the contour itself.
+
+    Everything is read from one complex Schur form ``T = Z R Z*``.  The
+    preconditions read the eigenvalues from the diagonal of ``R``.  The
+    projection is ``Q = Z S Z*`` with
+    ``S = (eps / m) sum_j e^{i theta_j} (z_j - R)^{-1}``, each resolvent a
+    triangular inverse; the ``ContourTooClose`` guard keeps every node at
+    least ``eps / 2`` from each diagonal entry of ``R``, so none is
+    singular.  ``T+ = A^{-1} Z R* Z* A``, and the node set is closed under
+    conjugation about the centre, so the contour sum for ``T+`` around the
+    conjugated centre is ``A^{-1} Z S* Z* A``: it reuses ``S`` and ``T+``
+    is never formed.
 
     Parameters
     ----------
@@ -166,6 +173,12 @@ def riesz_projection(ws, t, lam, eps, m=64):
     Returns
     -------
     (ProjPair, RieszDiagnostics)
+        ``plus_res`` is the spectral-norm distance from the plus-adjoint
+        ``A^{-1} Q* A`` of the returned ``Q`` to the contour sum for
+        ``T+``.  Both are the same matrix ``A^{-1} Z S* Z* A``, evaluated
+        in two orders through the weight's eigendecomposition, so the
+        figure measures the rounding of the ``A^{-1} . A`` similarity,
+        of order ``u cond(A) max(1, |Q|_2)^2``.
 
     Raises
     ------
@@ -179,10 +192,10 @@ def riesz_projection(ws, t, lam, eps, m=64):
         raise ValueError("contour radius must be positive")
     if m < 16 or m % 2:
         raise ValueError("node count must be an even integer >= 16")
-    op = as_operator(t, ws)
+    r, z = la.schur(as_matrix(t, ws), output="complex")
     # sigma(T+) = conj sigma(T) in finite dimension, so the ambient
     # eigenvalues are the whole proper spectrum
-    ev = op.eigvals
+    ev = np.sort_complex(np.diag(r))
     dist = np.abs(ev - lam)
     near_contour = (dist > eps / 2.0) & (dist < 1.5 * eps)
     if np.any(near_contour):
@@ -195,16 +208,19 @@ def riesz_projection(ws, t, lam, eps, m=64):
         raise NotIsolated(
             "spectral points in the annulus between eps and 2 eps"
         )
-    nodes = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    q = _contour_sum(op.matrix, complex(lam), float(eps), nodes)
+    phases = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(m) / m))
+    eye = np.eye(ws.dim)
+    trtri = la.get_lapack_funcs("trtri", (r,))
+    s = np.zeros_like(r)
+    for phase in phases:
+        s += phase * trtri((lam + eps * phase) * eye - r, overwrite_c=1)[0]
+    s *= eps / m
+    q = z @ s @ z.conj().T
     q_plus = ws.plus_matrix(q)
-    q_plus_contour = _contour_sum(
-        op.plus.matrix, complex(lam).conjugate(), float(eps), nodes
-    )
-    _, range_sub, null_sub = _projection_range_kernel(ws, q)
+    _, range_sub, null_sub = _range_kernel(ws, q, _idempotent_cut)
     diag = RieszDiagnostics(
         idempotency_res=_spec_norm(q @ q - q),
-        plus_res=_spec_norm(q_plus - q_plus_contour),
+        plus_res=_spec_norm(q_plus - ws.plus_factored(z, s)),
         range_dim=range_sub.rank,
     )
     pair = ProjPair(Operator(q, ws), Operator(q_plus, ws), range_sub, null_sub)

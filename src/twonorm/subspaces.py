@@ -180,28 +180,33 @@ def span(ws, vectors):
     return Subspace(u[:, :r], ws)
 
 
-def _range_kernel(ws, mat):
-    """Range and kernel of a square matrix as subspaces, from one full SVD.
+def _range_kernel(ws, mat, cut):
+    """Singular values, range and kernel of a square matrix, from one full
+    SVD.
 
-    The rank follows :func:`span`'s rule, so the two dimensions add up to
-    ``n``; the range basis is the one :func:`span` returns.
+    The rank counts the singular values above ``cut(sv)``, where ``sv`` is
+    in descending order, so the range and kernel dimensions add up to
+    ``n``.  The rule is the one parameter because the callers split
+    different matrices: :func:`_span_cut` for any matrix,
+    :func:`_idempotent_cut` for a candidate projection and
+    ``compat._matrix_rank_cut`` where rank counts must agree with
+    ``numpy.linalg.matrix_rank``.
     """
     u, sv, vh = la.svd(mat)
-    r = int(np.sum(sv > TOL_RANK * sv[0])) if sv[0] != 0.0 else 0
-    return Subspace(u[:, :r], ws), Subspace(vh[r:].conj().T, ws)
+    r = int(np.sum(sv > cut(sv)))
+    return sv, Subspace(u[:, :r], ws), Subspace(vh[r:].conj().T, ws)
 
 
-def _projection_range_kernel(ws, mat):
-    """Spectral norm, range and kernel of a candidate projection, from one
-    full SVD.
+def _span_cut(sv):
+    """:func:`span`'s rule, ``TOL_RANK`` relative to the largest singular
+    value; the range basis is the one :func:`span` returns."""
+    return TOL_RANK * sv[0]
 
-    Every nonzero singular value of an idempotent is at least one, so the
-    rank counts the singular values above ``0.5``; the caller decides
-    whether the matrix is idempotent at all.
-    """
-    u, sv, vh = la.svd(mat)
-    r = int(np.sum(sv > 0.5))
-    return float(sv[0]), Subspace(u[:, :r], ws), Subspace(vh[r:].conj().T, ws)
+
+def _idempotent_cut(sv):
+    """Every nonzero singular value of an idempotent is at least one; the
+    caller decides whether the matrix is idempotent at all."""
+    return 0.5
 
 
 def complement_L(ws, s):
@@ -299,8 +304,8 @@ def _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub):
     ``ws.plus_matrix(p)`` here: every caller either builds it that way or
     has just checked that agreement at a tolerance no looser.
     """
-    norm, p_range, p_kernel = _projection_range_kernel(ws, p)
-    scale = max(1.0, norm) ** 2 * max(1.0, ws.weight_cond)
+    sv, p_range, p_kernel = _range_kernel(ws, p, _idempotent_cut)
+    scale = max(1.0, sv[0]) ** 2 * max(1.0, ws.weight_cond)
     _require(p @ p - p, 1e-10 * scale,
              "projection failed the idempotency check")
     _require(p_plus @ p_plus - p_plus, 1e-10 * scale,
@@ -459,8 +464,8 @@ def nullspace_plus_check(ws, t):
     ``ok`` holds when both are at most ``TOL_ANGLE``.
     """
     m = as_matrix(t, ws)
-    m_range, m_null = _range_kernel(ws, m)
-    mp_range, mp_null = _range_kernel(ws, ws.plus_matrix(m))
+    _, m_range, m_null = _range_kernel(ws, m, _span_cut)
+    _, mp_range, mp_null = _range_kernel(ws, ws.plus_matrix(m), _span_cut)
     lhs1, rhs1 = mp_null, m_range.complement
     ang1 = max_principal_angle(lhs1, rhs1) if lhs1.rank == rhs1.rank else np.pi
     lhs2, rhs2 = mp_range, m_null.complement

@@ -15,7 +15,7 @@ import twonorm.schatten as schatten
 from twonorm import matio, rand
 from twonorm.errors import DimMismatch, SingularSystem
 from twonorm.space import _spec_norm
-from twonorm.subspaces import _projection_range_kernel, _range_kernel
+from twonorm.subspaces import _idempotent_cut, _range_kernel, _span_cut
 
 from conftest import rotated_normal
 
@@ -417,8 +417,8 @@ def test_superoperator_range_and_kernel_come_from_one_svd():
         model = tn.matrix_space(2 * k)
         q = tn.block_idempotent(rand._complex_gauss(rng, k, k))
         m = tn.two_sided_mult(model, q, q).matrix
-        for split in (_range_kernel(model.ws, m),
-                      _projection_range_kernel(model.ws, m)[1:]):
+        for split in (_range_kernel(model.ws, m, _span_cut)[1:],
+                      _range_kernel(model.ws, m, _idempotent_cut)[1:]):
             rng_sub, ker_sub = split
             assert np.array_equal(rng_sub.basis, tn.span(model.ws, m).basis)
             assert np.array_equal(ker_sub.basis, la.null_space(m))
@@ -509,10 +509,11 @@ def _dense_transport_verdicts(q, q_t, x):
     """Oracle for :func:`schatten._transport_verdicts`: range and kernel of
     the flattened ``y -> q y q``, moved by the flattened ``y -> y x``."""
     model = tn.matrix_space(q.shape[0])
-    rng_sub, ker_sub = _projection_range_kernel(
-        model.ws, tn.two_sided_mult(model, q, q).matrix)[1:]
-    target, _ = _projection_range_kernel(
-        model.ws, tn.two_sided_mult(model, q_t, q_t).matrix)[1:]
+    rng_sub, ker_sub = _range_kernel(
+        model.ws, tn.two_sided_mult(model, q, q).matrix, _idempotent_cut)[1:]
+    target, _ = _range_kernel(
+        model.ws, tn.two_sided_mult(model, q_t, q_t).matrix,
+        _idempotent_cut)[1:]
     g = tn.two_sided_mult(model, np.eye(q.shape[0]), x).matrix
     return (
         tn.subspace_equal(tn.span(model.ws, g @ ker_sub.basis), ker_sub),
