@@ -11,10 +11,10 @@ range ``S`` and nullspace ``T`` for a pair splitting the space.  Its
 plus-adjoint is itself an oblique projection, onto the weighted complement
 of ``T`` along the weighted complement of ``S``; the constructor builds
 that second projection independently and cross-checks the two routes.
-Each matrix in that construction is factored once: one SVD of the stacked
-bases gives the splitting gap and the condition number, one SVD of ``P``
-gives its norm, range and kernel, and each subspace computes its weighted
-complement once and keeps it.
+Only the stacked bases are factored: their singular values give the
+splitting gap, the condition number and the norm of ``P``; the range and
+kernel of ``P`` are fixed by its construction, and each subspace computes
+its weighted complement once and keeps it.
 """
 
 from dataclasses import dataclass
@@ -293,28 +293,21 @@ def subspace_equal(s1, s2):
     return max_principal_angle(s1, s2) <= TOL_ANGLE
 
 
-def _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub):
-    """Internal consistency checks for a freshly built projection pair.
+def _validate_idempotent_pair(ws, p, p_plus, p_norm):
+    """Idempotency checks for a freshly built projection pair.
 
-    Tolerances are scaled by the size of the projection and the weight
-    conditioning so that legitimately tilted pairs are not rejected; the
-    unscaled contract figures are enforced by the test suites on their
-    random ensembles.  One SVD of ``p`` gives both that size and the bases
-    of its range and kernel.  ``p_plus`` is not compared with
-    ``ws.plus_matrix(p)`` here: every caller either builds it that way or
-    has just checked that agreement at a tolerance no looser.
+    Tolerances scale with ``max(1, p_norm)^2``, ``p_norm = |P|_2``, and the
+    weight conditioning, so legitimately tilted pairs pass; the test suites
+    hold the unscaled contract figures.  Range and kernel hold by
+    construction (``p`` is ``B_S X``, ``B G^-1 B* A`` or ``F H* A``), and
+    ``p_plus`` is ``ws.plus_matrix(p)`` or has just been checked against it
+    at a tolerance no looser.
     """
-    sv, p_range, p_kernel = _range_kernel(ws, p, _idempotent_cut)
-    scale = max(1.0, sv[0]) ** 2 * max(1.0, ws.weight_cond)
+    scale = max(1.0, p_norm) ** 2 * max(1.0, ws.weight_cond)
     _require(p @ p - p, 1e-10 * scale,
              "projection failed the idempotency check")
     _require(p_plus @ p_plus - p_plus, 1e-10 * scale,
              "plus-adjoint failed the idempotency check")
-    if range_sub.rank not in (0, ws.dim):
-        if not subspace_equal(p_range, range_sub):
-            raise ArithmeticError("projection range drifted from its subspace")
-        if not subspace_equal(p_kernel, null_sub):
-            raise ArithmeticError("projection kernel drifted from its subspace")
 
 
 def _block_solve_projection(s, t):
@@ -367,7 +360,10 @@ def _oblique_projection(ws, s, t):
     _require(p_plus - p_indep,
              1e-9 * max(1.0, kappa ** 2) * max(1.0, ws.weight_cond),
              "plus-adjoint routes disagree")
-    _validate_idempotent_pair(ws, p, p_plus, s, t)
+    # |P|_2 = 1 / sin(theta_min) and gap^2 = 1 - cos(theta_min) for the
+    # smallest angle between s and t (Szyld, Numer. Algorithms 42, 2006)
+    p_norm = 1.0 / (gap * np.sqrt(2.0 - gap * gap))
+    _validate_idempotent_pair(ws, p, p_plus, p_norm)
     return ProjPair(Operator(p, ws), Operator(p_plus, ws), s, t), kappa
 
 
@@ -446,12 +442,13 @@ def finite_rank_proper_projection(ws, f_list, h_list):
         )
     p = f @ (h.conj().T @ ws.weight)
     p_plus = h @ (f.conj().T @ ws.weight)
-    scale = max(1.0, _spec_norm(p)) * max(1.0, ws.weight_cond)
+    p_norm = _spec_norm(p)
+    scale = max(1.0, p_norm) * max(1.0, ws.weight_cond)
     _require(ws.plus_matrix(p) - p_plus, 1e-9 * scale,
              "swapped-family adjoint disagrees with the weight")
     range_sub = span(ws, f)
     null_sub = span(ws, h).complement
-    _validate_idempotent_pair(ws, p, p_plus, range_sub, null_sub)
+    _validate_idempotent_pair(ws, p, p_plus, p_norm)
     return ProjPair(Operator(p, ws), Operator(p_plus, ws), range_sub, null_sub)
 
 

@@ -1,11 +1,12 @@
 """Package hygiene: every module-level import in ``src/twonorm`` is used,
-every module-level private function is read by some module of it, every
-cross-check that raises on a spectral norm goes through
-``space._require``, no public name is declared by two modules, only
-``matio`` imports ``json``, only ``cli`` imports ``matio``, and the
-command line starts without ``scipy.sparse``."""
+every module-level private function and every UPPER_CASE module constant
+is read by some module of it, every cross-check that raises on a spectral
+norm goes through ``space._require``, no public name is declared by two
+modules, only ``matio`` imports ``json``, only ``cli`` imports ``matio``,
+and the command line starts without ``scipy.sparse``."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,52 @@ def test_unread_private_function_is_reported(tmp_path):
     b.write_text("import a\nfrom a import _called, _unread\n\n"
                  "_called()\na._by_attribute()\n")
     assert _unread_private_functions([a, b]) == ["a.py:13 _unread"]
+
+
+def _unread_module_constants(modules):
+    """Top-level UPPER_CASE constants of ``modules``, public or ``_private``,
+    that none of them reads, by name (``TOL * x``) or as an attribute
+    (``mod.TOL``).  Imports of the name and assignments to it are not
+    reads; its use in the definition of another constant is."""
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{path.name}:{node.lineno} {target.id}"
+        for path, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        if isinstance(target, ast.Name)
+        and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+        and target.id not in read)
+
+
+def test_no_unread_module_constants():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _unread_module_constants(modules) == []
+
+
+def test_unread_module_constant_is_reported(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("TOL_READ = 1e-8\nTOL_BY_ATTRIBUTE = 1e-9\n"
+                 "_PRIVATE_READ = 3\nTOL_UNREAD = 1e-10\n"
+                 "_PRIVATE_UNREAD: int = 4\nlower_case = 5\n"
+                 "TOL_DERIVED = 2 * TOL_READ\n\n\n"
+                 "def f(x):\n    return x < TOL_READ + _PRIVATE_READ\n")
+    b = tmp_path / "b.py"
+    b.write_text("import a\nfrom a import TOL_UNREAD\n\n"
+                 "TOL_UNREAD = 1.0\nprint(a.TOL_BY_ATTRIBUTE)\n")
+    assert _unread_module_constants([a, b]) == ["a.py:4 TOL_UNREAD",
+                                                "a.py:5 _PRIVATE_UNREAD",
+                                                "a.py:7 TOL_DERIVED",
+                                                "b.py:4 TOL_UNREAD"]
 
 
 def _hand_rolled_norm_checks(path):

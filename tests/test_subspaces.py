@@ -6,6 +6,7 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 import twonorm as tn
+import twonorm.subspaces as subspaces
 from twonorm import rand
 from twonorm.errors import (
     BiorthogonalityViolated,
@@ -183,9 +184,9 @@ def test_oblique_projection_rejects_non_companions():
 
 
 def test_oblique_projection_factors_each_matrix_once(monkeypatch):
-    """One SVD of the stacked bases, one of P, one residual SVD for each of
-    the range and kernel angle checks, and no complement rebuilt: drawing
-    the pair already computed both weighted complements."""
+    """One SVD of the stacked bases, which also gives the norm of P, and no
+    complement rebuilt: drawing the pair already computed both weighted
+    complements."""
     rng = rand.trial_rng(11, 51)
     ws = rand.random_space(rng, 8)
     s, t = rand.random_companion_pair(rng, ws, 3)
@@ -194,11 +195,42 @@ def test_oblique_projection_factors_each_matrix_once(monkeypatch):
         np.linalg: ("svd", "svdvals", "cond"),
     })
     tn.oblique_projection(ws, s, t)
-    # the angles are small, so neither check factors its cross-Gram
-    assert calls == {"scipy.linalg.svdvals": 1, "scipy.linalg.svd": 1,
-                     "numpy.linalg.svd": 2}
+    assert calls == {"scipy.linalg.svdvals": 1}
     assert s.complement is s.complement
     assert np.array_equal(s.complement.basis, tn.complement_L(ws, s).basis)
+
+
+@pytest.mark.parametrize("trial", [164, 212])
+def test_oblique_projection_rejects_a_rank_one_error_in_p(monkeypatch,
+                                                          trial):
+    """A rank-one error of size 1e-6 max(1, |P|_2) added to P.  On most
+    draws the plus-adjoint routes check rejects it; on these two its
+    residual is within that check's kappa^2-scaled tolerance and P still
+    passes its own idempotency check, so only the plus-adjoint's
+    idempotency check, whose residual carries up to cond(A) times the
+    error, stands between the mutation and the caller."""
+    rng = rand.trial_rng(5, trial)
+    n = int(rng.integers(2, 12))
+    ws = rand.random_space(rng, n)
+    s, t = rand.random_companion_pair(rng, ws, int(rng.integers(1, n)))
+    erng = np.random.default_rng(trial)
+    err = np.outer(rand._complex_gauss(erng, n),
+                   rand._complex_gauss(erng, n).conj())
+    err /= _spec_norm(err)
+    built = subspaces._block_solve_projection
+    mutated = []
+
+    def mutate_first(range_sub, null_sub):
+        p = built(range_sub, null_sub)
+        if not mutated:
+            mutated.append(True)
+            p = p + 1e-6 * max(1.0, _spec_norm(p)) * err
+        return p
+
+    monkeypatch.setattr(subspaces, "_block_solve_projection", mutate_first)
+    with pytest.raises(ArithmeticError,
+                       match=r"^plus-adjoint failed the idempotency check"):
+        tn.oblique_projection(ws, s, t)
 
 
 def _near(rng, ws, b, r, lean=0.05):
