@@ -66,8 +66,9 @@ class CompatReport:
     ambient coordinates (Frobenius coordinates under the trace tag);
     ``q_norm`` is the ambient operator norm of the canonical projection,
     exact under the Euclidean tag; under the trace tag it comes from
-    :func:`~twonorm.space.trace_opnorm_estimate` and is an estimate, a
-    lower bound only; ``residual_cross`` is the disagreement between the
+    :func:`~twonorm.space.trace_opnorm_estimate`: certified when the
+    projection is an elementary map ``x -> E x F``, otherwise an estimate,
+    a lower bound only; ``residual_cross`` is the disagreement between the
     inverse-formula and direct constructions of that projection (None when
     the formula route was suppressed as ill-conditioned); ``kappa_c`` is the
     condition number ``s_max / s_min`` of ``C``, read from the same singular

@@ -17,7 +17,7 @@ from twonorm.errors import DimMismatch, SingularSystem
 from twonorm.space import _spec_norm
 from twonorm.subspaces import _idempotent_cut, _range_kernel, _span_cut
 
-from conftest import rotated_normal
+from conftest import count_calls, rotated_normal
 
 
 def test_vec_unvec_roundtrip_and_column_order():
@@ -505,6 +505,20 @@ def test_matrix_space_builds_its_weight_on_first_access():
     assert np.array_equal(ws.weight, np.eye(4))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 16])
+def test_matrix_space_weight_takes_no_eigh(k, monkeypatch):
+    """The identity weight is its own eigendecomposition, bit for bit the
+    one ``eigh`` returns."""
+    evals, evecs = la.eigh(np.eye(k * k, dtype=complex))
+    calls = count_calls(monkeypatch, {la: ["eigh", "eigvalsh"],
+                                      np.linalg: ["eigh", "eigvalsh"]})
+    ws = tn.matrix_space(k).ws
+    assert not calls
+    assert ws._evals.dtype == evals.dtype and ws._evecs.dtype == evecs.dtype
+    assert np.array_equal(ws._evals, evals)
+    assert np.array_equal(ws._evecs, evecs)
+
+
 def _dense_transport_verdicts(q, q_t, x):
     """Oracle for :func:`schatten._transport_verdicts`: range and kernel of
     the flattened ``y -> q y q``, moved by the flattened ``y -> y x``."""
@@ -641,3 +655,16 @@ def test_adz_norm_random_coefficient():
     assert abs(rep.frob_norm - rep.znorm_sq) <= 1e-10 * rep.znorm_sq
     assert rep.trace_norm_estimate <= rep.znorm_sq * (1.0 + 1e-6)
     assert rep.trace_norm_estimate >= rep.znorm_sq * (1.0 - 1e-4)
+
+
+def test_adz_norm_check_holds_its_slack_relative_to_large_z():
+    """The certified value rounds about |z|^2 from either side, by more
+    than an absolute 1e-6 once |z|^2 is near 1e10; the slack scales with
+    it.  Seeds 0-39 at this size raised on 18 against an absolute slack."""
+    model = tn.matrix_space(4)
+    u = np.finfo(float).eps
+    for seed in range(40):
+        z = 3e4 * rand._complex_gauss(rand.trial_rng(45, seed), 4, 4)
+        rep = tn.adz_norm_check(model, z)
+        assert abs(rep.trace_norm_estimate - rep.znorm_sq) \
+            <= 16 * 16 * u * rep.znorm_sq

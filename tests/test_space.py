@@ -83,7 +83,8 @@ def test_trace_tag_needs_identity_weight():
 
 
 def test_make_space_factors_the_weight_once(monkeypatch):
-    """Validation reads the eigenvalues the space caches."""
+    """Validation reads the eigenvalues the space caches; the identity
+    weight of a trace-tag space is its own eigendecomposition."""
     calls = []
 
     def counted(name):
@@ -99,7 +100,7 @@ def test_make_space_factors_the_weight_once(monkeypatch):
         monkeypatch.setattr(la, name, counted(name))
     tn.make_space(4, np.diag([1.0, 0.5, 0.25, 0.125]))
     tn.make_space(4, np.eye(4), enorm="trace")
-    assert calls == ["eigh", "eigh"]
+    assert calls == ["eigh"]
 
 
 def test_make_space_symmetrizes_input():
@@ -300,9 +301,11 @@ def _random_superops(model, rng):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_trace_norm_estimate_matches_serial_ascent(k):
+def test_trace_norm_estimate_matches_serial_ascent(k, monkeypatch):
     """The stacked ascent lands where the one-restart-at-a-time ascent
-    does, to rounding, on each kind of map."""
+    does, to rounding, on each kind of map.  The certificate is switched
+    off, so that elementary maps run the ascent too."""
+    monkeypatch.setattr(space, "_elementary_certificate", lambda m, k: None)
     model = tn.matrix_space(k)
     checked = {"two_sided_mult": 0, "sandwich": 0, "dense": 0}
     for trial in range(6):
@@ -329,27 +332,32 @@ def test_trace_norm_estimate_edge_cases():
         tn.trace_opnorm_estimate(tn.make_space(4, np.eye(4)), np.eye(4))
 
 
+def _record_svd_ndims(monkeypatch):
+    """Wrap ``np.linalg.svd`` and return the list of its inputs' ndims."""
+    ndims = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        ndims.append(np.ndim(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return ndims
+
+
 def test_trace_norm_estimate_stacks_its_restarts(monkeypatch):
     """Each ascent step takes one stacked SVD of the outputs and one of
-    the pulled-back certificates, whatever the number of restarts."""
+    the pulled-back certificates, whatever the number of restarts.  A
+    dense map leaves the certificate open, after its three k x k SVDs."""
     model = tn.matrix_space(4)
-    z = rand._complex_gauss(rand.trial_rng(41, 98), 4, 4)
-    calls = {}
-
-    def count(owner, key):
-        fn = owner.svd
-
-        def counted(*args, **kwargs):
-            calls[key] = calls.get(key, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, "svd", counted)
-
-    count(la, "scipy")
-    count(np.linalg, "numpy")
-    tn.adz_norm_check(model, z)
-    assert sum(calls.values()) <= 2 * space.ESTIMATE_ITERS, calls
-    assert "scipy" not in calls
+    m = rand._complex_gauss(rand.trial_rng(41, 98), 16, 16)
+    scipy_calls = count_calls(monkeypatch, {la: ["svd"]})
+    ndims = _record_svd_ndims(monkeypatch)
+    tn.trace_opnorm_estimate(model.ws, m)
+    assert ndims[:3] == [2, 2, 2]
+    assert set(ndims[3:]) == {3}
+    assert 2 <= len(ndims) - 3 <= 2 * space.ESTIMATE_ITERS, len(ndims)
+    assert not scipy_calls
 
 
 _GAUSS_INT = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
@@ -383,6 +391,61 @@ def test_trace_norm_estimate_properties(drawn):
     est = tn.trace_opnorm_estimate(model.ws, t)
     assert est <= np.sqrt(k) * _spec_norm(t) * (1.0 + 1e-12)
     assert tn.trace_opnorm_estimate(model.ws, t) == est
+
+
+@st.composite
+def _factor_pair(draw, k):
+    """Two k x k factors with Gaussian-integer entries."""
+    return _gauss_int_matrix(draw, k), _gauss_int_matrix(draw, k)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_trace_norm_estimate_certifies_elementary_maps(k, data):
+    """On x -> a x b, the sandwich x -> a* x a and the products T+ T and
+    T T+ the certificate closes: no stacked SVD runs, and the value is
+    within 16 k^2 u of s1(a) s1(b), s1(a)^2 or their square.  The zero
+    operator gives 0.0, and k = 1 gives |m_00|."""
+    a, b = data.draw(_factor_pair(k))
+    model = tn.matrix_space(k)
+    t = tn.two_sided_mult(model, a, b)
+    sa, sb = la.svdvals(a)[0], la.svdvals(b)[0]
+    cases = [(t.matrix, sa * sb), (tn.sandwich(model, a).matrix, sa * sa),
+             (t.plus.matrix @ t.matrix, (sa * sb) ** 2),
+             (t.matrix @ t.plus.matrix, (sa * sb) ** 2)]
+    if k == 1:
+        cases.append((t.matrix, abs(t.matrix[0, 0])))
+    tol = 16 * k * k * np.finfo(float).eps
+    with pytest.MonkeyPatch.context() as mp:
+        ndims = _record_svd_ndims(mp)
+        for m, exact in cases:
+            est = tn.trace_opnorm_estimate(model.ws, m)
+            assert abs(est - exact) <= tol * exact, (est, exact)
+        assert tn.trace_opnorm_estimate(
+            model.ws, np.zeros((k * k, k * k))) == 0.0
+    assert 3 not in ndims
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@settings(derandomize=True, database=None, deadline=None, max_examples=2)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_trace_norm_estimate_is_the_ascent_off_elementary_maps(k, seed):
+    """A dense map, and x -> a x b plus a perturbation of relative size
+    1e-8, leave the certificate open: the value is the ascent's, bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    model = tn.matrix_space(k)
+    t = tn.two_sided_mult(model, rand._complex_gauss(rng, k, k),
+                          rand._complex_gauss(rng, k, k)).matrix
+    dense = rand._complex_gauss(rng, k * k, k * k)
+    perturbed = t + 1e-8 * _spec_norm(t) * dense / _spec_norm(dense)
+    for m in (dense, perturbed):
+        assert space._elementary_certificate(m, k) is None
+        est = tn.trace_opnorm_estimate(model.ws, m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(space, "_elementary_certificate", lambda m, k: None)
+            assert tn.trace_opnorm_estimate(model.ws, m) == est
 
 
 def test_require_reports_the_residual_against_its_tolerance():
