@@ -89,10 +89,9 @@ def _suite_compat(rng, dim):
     r = int(rng.integers(1, dim))
     s, t1 = rand.random_companion_pair(rng, ws, r)
     _, t2 = rand.random_companion_pair(rng, ws, r)
+    # each margin's residual checks the canonical projection against its
+    # companion's C^{-1} P+
     rep1 = compat.compat_margin(ws, s, t1)
-    # the canonical projection depends on s alone, so one build validates it;
-    # each margin's residual checks it against its companion's C^{-1} P+
-    compat.compat_projection(ws, s)
     rep2 = compat.compat_margin(ws, s, t2)
     return max((rep.residual_cross or 0.0) / rep.kappa_c
                for rep in (rep1, rep2))
@@ -154,6 +153,8 @@ def cmd_check(args):
     if args.dim < min_dim:
         raise DimMismatch(f"--dim must be at least {min_dim} for the "
                           f"{args.suite} suite, got {args.dim}")
+    if args.trials < 1:
+        raise ParameterError(f"--trials must be at least 1, got {args.trials}")
     worst = 0.0
     for trial in range(args.trials):
         rng = rand.trial_rng(args.seed, trial)
@@ -171,6 +172,11 @@ def cmd_check(args):
 # demos
 
 def cmd_demo_finite_rank(args):
+    if args.dim < 1:
+        raise DimMismatch(f"--dim must be at least 1, got {args.dim}")
+    if not 0 <= args.rank <= args.dim:
+        raise DimMismatch(f"--rank must lie in [0, {args.dim}] for --dim "
+                          f"{args.dim}, got {args.rank}")
     rng = rand.trial_rng(args.seed, 0)
     ws = rand.random_space(rng, args.dim)
     f, h = rand.random_biorthogonal_system(rng, ws, args.rank)

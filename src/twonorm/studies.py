@@ -9,8 +9,11 @@ block idempotent from ``diag(1, .., 1, -1, .., -1)``, for which the
 eigenvalue-pair margin of the conjugation criterion is identically zero at
 every truncation size.
 
-Rates are recorded, never asserted; the only assertions are the
-monotonicity facts stated for the rows themselves.
+Rates are recorded, never asserted.  The one assertion is that the
+canonical projection norm does not decrease along the diverging-vector
+family, a property of the family; the growth of ``|g|``, which the
+construction fixes (sizes strictly increase and every ``g_i`` is
+positive), is not re-checked.
 """
 
 from dataclasses import dataclass, field
@@ -59,7 +62,8 @@ def diverging_vector_study(n_list, beta, control=False):
         the ambient length diverges while the weighted length converges.
     control : bool
         Use the first basis vector instead of the decaying one; the
-        projection norm is then constant and no divergence assertions run.
+        projection norm is then constant and the monotonicity assertion
+        does not run.
 
     Returns
     -------
@@ -97,8 +101,6 @@ def diverging_vector_study(n_list, beta, control=False):
         ))
     if not control:
         for prev, cur in zip(rows, rows[1:]):
-            if cur.g_enorm <= prev.g_enorm + MONO_TOL:
-                raise ArithmeticError("defining-vector length failed to grow")
             if cur.q_norm < prev.q_norm - MONO_TOL:
                 raise ArithmeticError("projection norm decreased along sizes")
     return rows

@@ -80,6 +80,13 @@ def test_check_rejects_bad_dimension(capsys):
         assert code != 2 and json.loads(out)["trials"] == 2
 
 
+def test_check_rejects_trials_below_one(capsys):
+    for trials in (-5, 0):
+        assert run_cli(["check", "compat", "--trials", str(trials)]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"twonorm: --trials must be at least 1, got {trials}\n")
+
+
 def test_study_diverge_rejects_bad_exponent():
     code, _ = run_cli(["study", "diverge", "--beta", "0.9"])
     assert code == 2
@@ -109,6 +116,27 @@ def test_demo_finite_rank_runs():
     payload = json.loads(out)
     assert payload["rank"] == 2
     assert payload["idempotency_res"] <= 1e-8
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (["--rank", "11"], "--rank must lie in [0, 10] for --dim 10, got 11"),
+    (["--rank", "-1"], "--rank must lie in [0, 10] for --dim 10, got -1"),
+    (["--dim", "0"], "--dim must be at least 1, got 0"),
+    (["--dim", "-2", "--rank", "0"], "--dim must be at least 1, got -2"),
+    (["--dim", "2", "--rank", "3"], "--rank must lie in [0, 2] for --dim 2, got 3"),
+])
+def test_demo_finite_rank_rejects_sizes_out_of_range(sizes, message, capsys):
+    assert run_cli(["demo", "finite_rank", *sizes]) == (2, "")
+    assert capsys.readouterr().err == f"twonorm: {message}\n"
+
+
+@pytest.mark.parametrize("sizes", [["--dim", "1", "--rank", "0"],
+                                   ["--dim", "1", "--rank", "1"],
+                                   ["--rank", "0"], ["--rank", "10"]])
+def test_demo_finite_rank_runs_at_the_ends_of_the_rank_range(sizes):
+    code, out = run_cli(["demo", "finite_rank", *sizes])
+    assert code == 0
+    assert json.loads(out)["range_dim"] == int(sizes[-1])
 
 
 def test_demo_cq_emits_frozen_margins():

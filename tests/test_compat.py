@@ -102,7 +102,7 @@ def test_check_compat_trial_builds_one_projection_per_margin(monkeypatch,
     calls = _count_projection_builds(monkeypatch)
     assert cli.main(["check", "compat", "--trials", "1", "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
-    # one per compat_margin; compat_projection builds none
+    # one per compat_margin
     assert len(calls) == 2
 
 
@@ -145,8 +145,11 @@ def test_compat_projection_is_self_plus_adjoint():
     rng = rand.trial_rng(15, 1)
     ws = rand.random_space(rng, 7)
     s = rand.random_subspace(rng, ws, 3)
-    q = tn.compat_projection(ws, s).p.matrix
+    pair = tn.compat_projection(ws, s)
+    q = pair.p.matrix
     assert _spec_norm(ws.plus_matrix(q) - q) <= 1e-9 * max(1.0, _spec_norm(q))
+    # A Q is Hermitian, so Q+ = Q exactly and one operator serves as both
+    assert pair.p_plus is pair.p
 
 
 def test_compat_projection_takes_one_weighted_solve(monkeypatch):
@@ -330,6 +333,12 @@ def test_companion_transport_postconditions():
     assert tn.max_principal_angle(gs, s) <= 1e-8
     assert tn.max_principal_angle(gt, t1) <= 1e-8
     assert np.isfinite(np.linalg.cond(g.matrix))
+    # the closed-form adjoint P+ + (I - P+) P1+ that the function states
+    p_plus = tn.oblique_projection(ws, s, t).p_plus.matrix
+    p1_plus = tn.oblique_projection(ws, t1, s).p_plus.matrix
+    formula = p_plus + (np.eye(8) - p_plus) @ p1_plus
+    scale = max(1.0, _spec_norm(g.matrix)) * max(1.0, ws.weight_cond)
+    assert _spec_norm(ws.plus_matrix(g.matrix) - formula) <= 1e-9 * scale
 
 
 def test_companion_metric_axioms():

@@ -395,6 +395,27 @@ def test_finite_rank_projection_from_biorthogonal_system():
     assert rep.ok, (rep.null_angle, rep.range_angle)
 
 
+def test_finite_rank_projection_returns_near_the_weight_floor():
+    """A near-floor draw (n = m = 4, cond(A) = 7.5e7) that a check of
+    ``ws.plus_matrix(P)`` against the swapped families used to reject, at
+    1.0e-1 against 7.5e-2.  ``A^-1 (F H* A)* A = H F* A`` is exact, so that
+    residual only measured the rounding in P amplified by cond(A): the
+    returned P and P+ are within 4.3e-9 and 7.0e-9 of their 50-digit
+    values."""
+    rng = rand.trial_rng(23, 167)
+    n = int(rng.integers(2, 14))
+    ws = modest_space(rng, n, floor=1e-11)
+    m = int(rng.integers(1, n + 1))
+    f, h = rand.random_biorthogonal_system(rng, ws, m)
+    assert (n, m) == (4, 4) and ws.weight_cond > 7e7
+    pair = tn.finite_rank_proper_projection(ws, f, h)
+    p, p_plus = pair.p.matrix, pair.p_plus.matrix
+    tol = 1e-10 * max(1.0, _spec_norm(p)) ** 2 * ws.weight_cond
+    assert _spec_norm(p @ p - p) <= tol
+    assert _spec_norm(p_plus @ p_plus - p_plus) <= tol
+    assert np.array_equal(p_plus, h @ (f.conj().T @ ws.weight))
+
+
 def test_finite_rank_projection_rank_one():
     ws = euclid2()
     pair = tn.finite_rank_proper_projection(ws, [E1], [E1])
