@@ -197,23 +197,16 @@ class WeightedSpace:
         a_z = u @ (zw * ev[:, np.newaxis])
         return inv_a_z @ s.conj().T @ a_z.conj().T
 
-    def l_coords(self, m):
-        """Similarity A^{1/2} M A^{-1/2} expressing M in L-orthonormal
-        coordinates (up to a unitary factor that leaves norms alone)."""
-        m = _as_matrix(m, self.dim)
-        u, ev = self._evecs, self._evals
-        root = np.sqrt(ev)
-        core = u.conj().T @ m @ u
-        return (core * (1.0 / root)[np.newaxis, :]) * root[:, np.newaxis]
-
 
 @dataclass(frozen=True)
 class Operator:
     """A linear operator on a :class:`WeightedSpace`.
 
-    The plus-adjoint, the sorted ambient eigenvalues and the spectral norm
-    are computed on first access and cached; the instance is otherwise
-    immutable.
+    The plus-adjoint and the sorted ambient eigenvalues are computed on
+    first access and cached; the instance is otherwise immutable.  The
+    eigenvalues are the whole spectrum under every tag of
+    :func:`twonorm.spectra.spectrum`: ``T+`` is similar to ``T*`` and the
+    weighted coordinates ``A^{1/2} T A^{-1/2}`` to ``T``.
     """
 
     matrix: np.ndarray
@@ -235,11 +228,6 @@ class Operator:
         ev = np.sort_complex(la.eigvals(self.matrix))
         ev.setflags(write=False)
         return ev
-
-    @cached_property
-    def spec_norm(self):
-        """Spectral norm of the matrix."""
-        return _spec_norm(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -486,7 +474,11 @@ def opnorm(ws, t, which="E"):
     """
     m = as_matrix(t, ws)
     if which == "L":
-        return _spec_norm(ws.l_coords(m))
+        # T in L-orthonormal coordinates, A^{1/2} T A^{-1/2}, up to the
+        # unitary factor of A = U D U*, which leaves the norm alone
+        root = np.sqrt(ws._evals)
+        core = ws._evecs.conj().T @ m @ ws._evecs
+        return _spec_norm((core * (1.0 / root)) * root[:, np.newaxis])
     if which != "E":
         raise ValueError(f"unknown norm tag {which!r}")
     if ws.enorm == "euclid":

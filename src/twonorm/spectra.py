@@ -1,10 +1,13 @@
 """Spectra in the two-norm setting and Riesz projections by contour sums.
 
 Three spectrum tags are exposed: the ambient spectrum, the spectrum of the
-weighted extension (computed in weighted coordinates and asserted, not
-assumed, to match) and the proper spectrum, the union of the ambient
-spectrum with the conjugated spectrum of the plus-adjoint.  At finite
-dimension the union collapses; the machinery still computes both sides.
+weighted extension and the proper spectrum, the union of the ambient
+spectrum with the conjugated spectrum of the plus-adjoint.  On C^n they are
+one multiset.  The weighted extension acts in L-orthonormal coordinates as
+``A^{1/2} T A^{-1/2}``, which is similar to ``T``; ``T+ = A^{-1} T* A`` is
+similar to ``T*``, so ``conj sigma(T+) = sigma(T)`` with multiplicities and
+the union adds nothing.  Every tag therefore reads the operator's one
+ambient eigensolve.
 
 Riesz projections are evaluated as trapezoid sums of the resolvent over a
 circle, all read from one complex Schur form ``T = Z R Z*``: the guards
@@ -36,22 +39,14 @@ __all__ = [
     "vvplus_diagnostics",
 ]
 
-# eigenvalue matching and clustering distance; relative to 1 + |T|_2
-MATCH_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalue multiset for one spectrum tag.
-
-    ``gaps[i]`` is the distance from ``values[i]`` to the nearest spectral
-    point of a different value (infinity when the spectrum is a single
-    point); it is the isolation radius relevant to contour placement.
-    """
+    """Eigenvalue multiset for one spectrum tag, sorted by
+    ``np.sort_complex``; read-only."""
 
     algebra: str
     values: np.ndarray
-    gaps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,33 +66,18 @@ class VVPlusReport:
     min_symmetric: float
 
 
-def _greedy_match(base, other, tol):
-    """Match ``other`` into ``base`` greedily; return indices of unmatched
-    entries of ``other``.
-
-    Each entry of ``other`` in turn takes the nearest unused entry of
-    ``base``, the first one on a tie, when it lies within ``tol``.
-    """
-    dist = np.abs(np.subtract.outer(base, other))
-    unmatched = []
-    for j in range(len(other)):
-        i = int(np.argmin(dist[:, j]))
-        if dist[i, j] <= tol:
-            dist[i] = np.inf  # base entry i is used up
-        else:
-            unmatched.append(j)
-    return unmatched
-
-
-def _isolation_gaps(values, cluster_tol):
-    """Distance from each value to the nearest one farther than
-    ``cluster_tol``; infinity when there is none."""
-    dist = np.abs(np.subtract.outer(values, values))
-    return np.where(dist > cluster_tol, dist, np.inf).min(axis=1)
-
-
 def spectrum(ws, t, algebra="E"):
     """Eigenvalues of an operator under one of the three spectrum tags.
+
+    Every tag returns the operator's one cached eigensolve,
+    ``Operator.eigvals``.  On C^n every operator is proper and the tags
+    name one multiset: ``"L"`` is the spectrum of ``A^{1/2} T A^{-1/2}``,
+    which is similar to ``T``, and ``"P"`` adds the conjugated spectrum of
+    ``T+ = A^{-1} T* A``, which is similar to ``T*``, so
+    ``conj sigma(T+) = sigma(T)`` with multiplicities.  No second
+    eigensolve is paired with the first, so a defective eigenvalue, which
+    rounding splits by about ``u^(1/m)`` for a Jordan block of size ``m``,
+    keeps its multiplicity under every tag.
 
     Parameters
     ----------
@@ -105,36 +85,16 @@ def spectrum(ws, t, algebra="E"):
     t : Operator or (n, n) array_like
     algebra : {"E", "L", "P"}
         ``"E"``: ambient eigenvalues.  ``"L"``: eigenvalues of the weighted
-        coordinate matrix, asserted to match the ambient ones.  ``"P"``:
-        the union of the ambient eigenvalues with the conjugated
-        eigenvalues of the plus-adjoint, where union takes the larger
-        multiplicity at the matching tolerance.
+        extension.  ``"P"``: the proper spectrum, the union of the ambient
+        eigenvalues with the conjugated eigenvalues of the plus-adjoint.
 
     Returns
     -------
     SpectrumReport
     """
-    op = as_operator(t, ws)
-    ev = op.eigvals
-    tol = MATCH_TOL * (1.0 + op.spec_norm)
-    if algebra == "E":
-        values = ev
-    elif algebra == "L":
-        values = np.sort_complex(la.eigvals(ws.l_coords(op.matrix)))
-        if _greedy_match(ev, values, tol):
-            raise ArithmeticError(
-                "weighted-coordinate eigenvalues drifted from ambient ones"
-            )
-    elif algebra == "P":
-        ev_plus_conj = np.conj(la.eigvals(op.plus.matrix))
-        extra_idx = _greedy_match(ev, ev_plus_conj, tol)
-        values = np.sort_complex(
-            np.concatenate([ev, ev_plus_conj[extra_idx]])
-        )
-    else:
+    if algebra not in ("E", "L", "P"):
         raise ValueError(f"unknown spectrum tag {algebra!r}")
-    gaps = _isolation_gaps(values, tol)
-    return SpectrumReport(algebra=algebra, values=values, gaps=gaps)
+    return SpectrumReport(algebra=algebra, values=as_operator(t, ws).eigvals)
 
 
 def riesz_projection(ws, t, lam, eps, m=64):
@@ -164,9 +124,9 @@ def riesz_projection(ws, t, lam, eps, m=64):
     ws : WeightedSpace
     t : Operator or (n, n) array_like
     lam : complex
-        Contour centre.
+        Contour centre, finite.
     eps : float
-        Contour radius, positive.
+        Contour radius, positive and finite.
     m : int
         Even node count, at least 16.
 
@@ -188,8 +148,11 @@ def riesz_projection(ws, t, lam, eps, m=64):
         If a spectral point other than the targeted cluster lies inside the
         disc of radius ``2 eps``.
     """
-    if eps <= 0.0:
-        raise ValueError("contour radius must be positive")
+    if not np.isfinite(lam):
+        raise ValueError(f"contour centre lam must be finite, got {lam}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"contour radius eps must be positive and finite, "
+                         f"got {eps}")
     if m < 16 or m % 2:
         raise ValueError("node count must be an even integer >= 16")
     r, z = la.schur(as_matrix(t, ws), output="complex")

@@ -56,11 +56,12 @@ def test_check_suites_small_runs_pass():
 
 
 def test_check_fails_cleanly_on_impossible_tolerance():
-    code, out = run_cli(
-        ["check", "compat", "--dim", "4", "--trials", "2", "--tol", "1e-30"]
-    )
-    assert code == 1
-    assert json.loads(out)["pass"] is False
+    for tol in ("1e-30", "0"):
+        code, out = run_cli(
+            ["check", "compat", "--dim", "4", "--trials", "2", "--tol", tol]
+        )
+        assert code == 1
+        assert json.loads(out)["pass"] is False
 
 
 def test_check_rejects_bad_dimension(capsys):
@@ -85,6 +86,37 @@ def test_check_rejects_trials_below_one(capsys):
         assert run_cli(["check", "compat", "--trials", str(trials)]) == (2, "")
         assert capsys.readouterr().err == (
             f"twonorm: --trials must be at least 1, got {trials}\n")
+
+
+@pytest.mark.parametrize("argv, tol", [
+    (["check", "spectra"], "-1"),
+    (["check", "adjoint"], "nan"),
+    (["check", "gz"], "inf"),
+    (["demo", "finite_rank"], "-1"),
+    (["demo", "sylvester", "--c", "diag:1,2", "--d", "diag:3,4",
+      "--w", "scalar:1", "--k", "2"], "-inf"),
+])
+def test_tolerance_must_be_finite_and_non_negative(argv, tol, capsys):
+    assert run_cli([*argv, f"--tol={tol}"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"twonorm: --tol must be finite and non-negative, got {float(tol)}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lambda", "1", "--eps", "inf"],
+     "contour radius eps must be positive and finite, got inf"),
+    (["--lambda", "1", "--eps", "nan"],
+     "contour radius eps must be positive and finite, got nan"),
+    (["--lambda", "nan", "--eps", "0.4"],
+     "contour centre lam must be finite, got (nan+0j)"),
+    (["--lambda", "1+infj", "--eps", "0.4"],
+     "contour centre lam must be finite, got (1+infj)"),
+])
+def test_riesz_rejects_non_finite_contour_parameters(flags, message, capsys):
+    """Exit 2 with one line naming the parameter, before any arithmetic
+    could warn (pytest turns warnings into errors)."""
+    assert run_cli(["riesz", "--t", "diag:1,2", *flags]) == (2, "")
+    assert capsys.readouterr().err == f"twonorm: {message}\n"
 
 
 def test_study_diverge_rejects_bad_exponent():

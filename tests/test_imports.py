@@ -1,9 +1,10 @@
 """Package hygiene: every module-level import in ``src/twonorm`` is used,
-every module-level private function and every UPPER_CASE module constant
-is read by some module of it, every cross-check that raises on a spectral
-norm goes through ``space._require``, no public name is declared by two
-modules, only ``matio`` imports ``json``, only ``cli`` imports ``matio``,
-and the command line starts without ``scipy.sparse``."""
+every module-level private function, every method and property of a class
+and every UPPER_CASE module constant is read by some module of it, every
+cross-check that raises on a spectral norm goes through ``space._require``,
+no public name is declared by two modules, only ``matio`` imports
+``json``, only ``cli`` imports ``matio``, and the command line starts
+without ``scipy.sparse``."""
 
 import ast
 import re
@@ -97,6 +98,49 @@ def test_unread_private_function_is_reported(tmp_path):
     b.write_text("import a\nfrom a import _called, _unread\n\n"
                  "_called()\na._by_attribute()\n")
     assert _unread_private_functions([a, b]) == ["a.py:13 _unread"]
+
+
+def _unread_methods(modules):
+    """Methods and properties of the classes of ``modules`` that none of
+    them reads as an attribute (``obj.m()``, ``obj.p``, ``Cls.m``).  The
+    definition is not a read, and neither is a bare name; dunder names are
+    exempt."""
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return sorted(
+        f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+        for path, tree in trees.items() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read)
+
+
+def test_no_unread_methods():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _unread_methods(modules) == []
+
+
+def test_unread_method_is_reported(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("class Space:\n"
+                 "    def __post_init__(self):\n        pass\n\n"
+                 "    @property\n    def read_prop(self):\n        pass\n\n"
+                 "    @property\n    def unread_prop(self):\n"
+                 "        pass\n\n"
+                 "    def read_method(self):\n        pass\n\n"
+                 "    def _unread_private(self):\n        pass\n\n"
+                 "    def by_name_only(self):\n        pass\n")
+    b = tmp_path / "b.py"
+    b.write_text("from a import Space\n\n\n"
+                 "def by_name_only():\n    pass\n\n\n"
+                 "s = Space()\nprint(s.read_prop, Space.read_method)\n"
+                 "by_name_only()\n")
+    assert _unread_methods([a, b]) == ["a.py:10 Space.unread_prop",
+                                       "a.py:16 Space._unread_private",
+                                       "a.py:19 Space.by_name_only"]
 
 
 def _unread_module_constants(modules):
