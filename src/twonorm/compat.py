@@ -153,13 +153,13 @@ def compat_projection(ws, s):
     Returns
     -------
     ProjPair
-        With range ``s``, nullspace the weighted complement of ``s``, and
-        ``p_plus`` the same operator as ``p``.
+        With ``p_plus`` the same operator as ``p``; its range ``s`` and
+        nullspace, the weighted complement of ``s``, are not formed.
     """
     q = _lproj_matrix(ws, s)
     _validate_idempotent_pair(ws, q, q, _spec_norm(q))
     op = Operator(q, ws)
-    return ProjPair(op, op, s, s.complement)
+    return ProjPair(op, op)
 
 
 def compat_margin(ws, s, t=None):

@@ -26,7 +26,6 @@ from .errors import DimMismatch, SingularSystem
 from .space import (
     Operator,
     make_space,
-    trace_opnorm_estimate,
     _as_matrix,
     _require,
     _spec_norm,
@@ -126,7 +125,7 @@ class TwoCompanionsReport:
 
 @dataclass(frozen=True)
 class AdzNormReport:
-    """Norm of the conjugation map: exact in Frobenius, certified in trace."""
+    """Norms of the conjugation map, each ``|z|_2^2`` exactly."""
 
     frob_norm: float
     trace_norm_estimate: float
@@ -373,10 +372,10 @@ def two_companions_demo(model, z, t):
         )
     z = np.asarray(z, dtype=complex)
     t = _as_matrix(t, k, "t")
+    sv = la.svdvals(z)
     _require(z @ z.conj().T - z.conj().T @ z,
-             1e-10 * max(1.0, _spec_norm(z) ** 2), "z must be normal",
-             ValueError)
-    if la.svdvals(z)[-1] <= 1e-12:
+             1e-10 * max(1.0, sv[0] ** 2), "z must be normal", ValueError)
+    if sv[-1] <= 1e-12:
         raise ValueError("z must be invertible")
     _require(t - t.conj().T, 1e-10, "t must be self-adjoint", ValueError)
     _require(t @ t - np.eye(k), 1e-10, "t must be an involution", ValueError)
@@ -392,23 +391,21 @@ def two_companions_demo(model, z, t):
 
 
 def adz_norm_check(model, z):
-    """Norms of the conjugation map against the squared norm of ``z``.
+    """Norms of the conjugation map against the squared norm of ``z``,
+    all three from one SVD of ``z``; the ``k^2 x k^2`` map is never formed.
 
     The Frobenius-coordinate operator norm is ``|z^T (x) z*|_2 = |z|^2``
-    exactly, so it is reported and not checked.  The conjugation is an
-    elementary map, so :func:`~twonorm.space.trace_opnorm_estimate` returns
-    its trace-norm value certified, within ``16 k^2 u`` of ``|z|^2``: it is
-    an attained objective, so it exceeds ``|z|^2`` only by rounding, and it
-    is reported and not checked either.
+    exactly, since the singular values of a Kronecker product are the
+    products of those of its factors.  The conjugation is the elementary
+    map ``x -> a x b`` with ``a = z*``, ``b = z``, whose trace-norm operator
+    norm is ``s1(a) s1(b) = |z|^2``, the value the certificate of
+    :func:`~twonorm.space.trace_opnorm_estimate` brackets (Watrous, The
+    Theory of Quantum Information, 2018, sec. 3.3).
 
     Returns
     -------
     AdzNormReport
     """
-    z = _as_matrix(z, model.k, "z")
-    op = sandwich(model, z)
-    return AdzNormReport(
-        frob_norm=_spec_norm(op.matrix),
-        trace_norm_estimate=trace_opnorm_estimate(model.ws, op.matrix),
-        znorm_sq=_spec_norm(z) ** 2,
-    )
+    znorm_sq = _spec_norm(_as_matrix(z, model.k, "z")) ** 2
+    return AdzNormReport(frob_norm=znorm_sq, trace_norm_estimate=znorm_sq,
+                         znorm_sq=znorm_sq)

@@ -117,8 +117,8 @@ class WeightedSpace:
 
     Instances are immutable; use :func:`make_space` to construct one with
     validation.  The eigendecomposition of the weight is cached at
-    construction and reused for every weighted computation; an identity
-    weight is taken as its own eigendecomposition, with no ``eigh``.
+    construction and reused for every weighted computation; a diagonal
+    weight, the identity included, is its own, with no ``eigh``.
 
     Parameters
     ----------
@@ -143,13 +143,14 @@ class WeightedSpace:
         w = np.array(self.weight, dtype=complex)
         w.setflags(write=False)
         object.__setattr__(self, "weight", w)
-        n = w.shape[0]
-        # The identity is its own eigendecomposition; every trace-tag space
-        # has this weight, and it is the CLI default.  It is the weight
-        # whose n nonzeros are a unit diagonal; counting them rejects a
-        # dense weight without building and comparing np.eye(n).
-        if np.count_nonzero(w) == n and (w.diagonal() == 1).all():
-            evals, evecs = np.ones(n), np.eye(n, dtype=complex)
+        # A diagonal weight, the identity of every trace-tag space included,
+        # is its own eigendecomposition: its sorted diagonal and the matching
+        # identity columns.  Counting nonzeros tells it from a dense weight.
+        d = w.diagonal().real
+        if np.count_nonzero(w) == np.count_nonzero(d):
+            order = np.argsort(d, kind="stable")
+            evals, evecs = d[order], np.zeros(w.shape, dtype=complex)
+            evecs[order, np.arange(len(d))] = 1.0
         else:
             evals, evecs = la.eigh(w)
         object.__setattr__(self, "_evals", evals)
@@ -263,9 +264,9 @@ def as_operator(t, ws):
 def make_space(n, weight, enorm="euclid"):
     """Validate and build a :class:`WeightedSpace`.
 
-    The weight is Hermitian-symmetrized as ``(A + A*) / 2`` before any
-    checks run.  The checks read the eigenvalues the space caches, so the
-    weight is factored once.
+    A finite weight is Hermitian-symmetrized as ``(A + A*) / 2`` before
+    the other checks run.  They read the eigenvalues the space caches, so
+    the weight is factored at most once: a diagonal one is not factored.
 
     Parameters
     ----------
@@ -282,6 +283,8 @@ def make_space(n, weight, enorm="euclid"):
 
     Raises
     ------
+    ValueError
+        If the weight has a NaN or infinite entry.
     DimMismatch
         If the weight is not n x n, or the trace tag is used with n not a
         perfect square.
@@ -297,6 +300,8 @@ def make_space(n, weight, enorm="euclid"):
     if enorm not in ("euclid", "trace"):
         raise ValueError(f"unknown ambient-norm tag {enorm!r}")
     a = _as_matrix(weight, n, "weight")
+    if not np.isfinite(a).all():
+        raise ValueError("weight must have finite entries")
     a = (a + a.conj().T) / 2.0
     ws = WeightedSpace(n, a, enorm)
     evals = ws._evals

@@ -10,13 +10,13 @@ the union adds nothing.  Every tag therefore reads the operator's one
 ambient eigensolve.
 
 Riesz projections are evaluated as trapezoid sums of the resolvent over a
-circle, all read from one complex Schur form ``T = Z R Z*``: the guards
-read the eigenvalues from the diagonal of ``R``, and each resolvent is
-``Z (z - R)^{-1} Z*``, a triangular inverse.  Since ``T+ = A^{-1} Z R* Z* A``
-and the node set is symmetric under reflection in the horizontal line
-through the centre, the contour sum for the plus-adjoint operator around
-the conjugated centre is built from the same triangular inverses, and
-equals the plus-adjoint of the computed projection in exact arithmetic.
+circle, all read from one complex Schur form ``T = Z R Z*``: the guards and
+the rank read the eigenvalues from the diagonal of ``R``, and each
+resolvent ``Z (z - R)^{-1} Z*`` is a triangular inverse.  The node set is
+symmetric under reflection in the horizontal line through the centre and
+``T+ = A^{-1} Z R* Z* A``, so the contour sum for the plus-adjoint operator
+around the conjugated centre is built from the same triangular inverses,
+and equals the plus-adjoint of the computed projection in exact arithmetic.
 The reported ``plus_res`` compares the two, so it measures the rounding
 of the ``A^{-1} . A`` similarity, not a second quadrature.
 """
@@ -28,7 +28,7 @@ import scipy.linalg as la
 
 from .errors import ContourTooClose, NotIdempotent, NotIsolated
 from .space import Operator, as_matrix, as_operator, _require, _spec_norm
-from .subspaces import TOL_IDEM, ProjPair, _idempotent_cut, _range_kernel
+from .subspaces import TOL_IDEM, ProjPair
 
 __all__ = [
     "SpectrumReport",
@@ -51,7 +51,8 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class RieszDiagnostics:
-    """Quadrature quality figures for one contour-sum projection."""
+    """Quadrature quality figures for one contour-sum projection, and its
+    exact rank, the count of Schur eigenvalues inside the contour."""
 
     idempotency_res: float
     plus_res: float
@@ -109,8 +110,9 @@ def riesz_projection(ws, t, lam, eps, m=64):
     the contour itself.
 
     Everything is read from one complex Schur form ``T = Z R Z*``.  The
-    preconditions read the eigenvalues from the diagonal of ``R``.  The
-    projection is ``Q = Z S Z*`` with
+    preconditions read the eigenvalues from the diagonal of ``R``; each is
+    within ``eps / 2`` of ``lam`` or at least ``2 eps`` away, so the count
+    inside the circle is the rank.  The projection is ``Q = Z S Z*``,
     ``S = (eps / m) sum_j e^{i theta_j} (z_j - R)^{-1}``, each resolvent a
     triangular inverse; the ``ContourTooClose`` guard keeps every node at
     least ``eps / 2`` from each diagonal entry of ``R``, so none is
@@ -180,14 +182,12 @@ def riesz_projection(ws, t, lam, eps, m=64):
     s *= eps / m
     q = z @ s @ z.conj().T
     q_plus = ws.plus_matrix(q)
-    _, range_sub, null_sub = _range_kernel(ws, q, _idempotent_cut)
     diag = RieszDiagnostics(
         idempotency_res=_spec_norm(q @ q - q),
         plus_res=_spec_norm(q_plus - ws.plus_factored(z, s)),
-        range_dim=range_sub.rank,
+        range_dim=int(np.count_nonzero(dist < eps)),
     )
-    pair = ProjPair(Operator(q, ws), Operator(q_plus, ws), range_sub, null_sub)
-    return pair, diag
+    return ProjPair(Operator(q, ws), Operator(q_plus, ws)), diag
 
 
 def vvplus_diagnostics(ws, q):

@@ -113,13 +113,11 @@ class Subspace:
 
 @dataclass(frozen=True)
 class ProjPair:
-    """An idempotent together with its plus-adjoint and the two subspaces
-    it is built from (range and nullspace of ``p``)."""
+    """An idempotent together with its plus-adjoint.  Its range and
+    nullspace are fixed by the construction that built it, and not kept."""
 
     p: Operator
     p_plus: Operator
-    range_sub: Subspace
-    null_sub: Subspace
 
 
 @dataclass(frozen=True)
@@ -364,7 +362,7 @@ def _oblique_projection(ws, s, t):
     # smallest angle between s and t (Szyld, Numer. Algorithms 42, 2006)
     p_norm = 1.0 / (gap * np.sqrt(2.0 - gap * gap))
     _validate_idempotent_pair(ws, p, p_plus, p_norm)
-    return ProjPair(Operator(p, ws), Operator(p_plus, ws), s, t), kappa
+    return ProjPair(Operator(p, ws), Operator(p_plus, ws)), kappa
 
 
 def is_proper_companion(ws, s, t, tol_gap=TOL_GAP):
@@ -419,8 +417,8 @@ def finite_rank_proper_projection(ws, f_list, h_list):
     swapped, ``A^{-1} (F H* A)* A = H F* A`` exactly, so it is built that
     way and not recomputed through the weight, whose route would only add
     the rounding of ``P`` amplified by ``cond(A)``.  The range is the span
-    of the ``f_i`` and the nullspace is the weighted complement of the span
-    of the ``h_i``.
+    of the ``f_i``, which biorthogonality makes independent, and the
+    nullspace the weighted complement of the span of the ``h_i``.
 
     Returns
     -------
@@ -444,10 +442,8 @@ def finite_rank_proper_projection(ws, f_list, h_list):
         )
     p = f @ (h.conj().T @ ws.weight)
     p_plus = h @ (f.conj().T @ ws.weight)
-    range_sub = span(ws, f)
-    null_sub = span(ws, h).complement
     _validate_idempotent_pair(ws, p, p_plus, _spec_norm(p))
-    return ProjPair(Operator(p, ws), Operator(p_plus, ws), range_sub, null_sub)
+    return ProjPair(Operator(p, ws), Operator(p_plus, ws))
 
 
 def nullspace_plus_check(ws, t):

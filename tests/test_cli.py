@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -230,6 +231,39 @@ def test_riesz_json_and_csv_rows():
 def test_bad_matrix_literal_exits_with_parameter_error():
     code, _ = run_cli(["demo", "cq", "--z", "dense:1,2", "--k", "2"])
     assert code == 2
+
+
+RIESZ = ["riesz", "--lambda", "1", "--eps", "0.1"]
+
+
+@pytest.mark.parametrize("argv, literal", [
+    (["demo", "cq", "--z", "diag:nan"], "diag:nan"),
+    (["demo", "cq", "--z", "diag:inf"], "diag:inf"),
+    (["demo", "cq", "--z", "scalar:-inf", "--k", "2"], "scalar:-inf"),
+    (["demo", "two_companions", "--z", "diag:1,nan", "--t", "diag:1,-1"],
+     "diag:1,nan"),
+    (["demo", "two_companions", "--z", "diag:1,2", "--t", "scalar:inf",
+      "--k", "2"], "scalar:inf"),
+    (["demo", "sylvester", "--c", "diag:1,2", "--d", "diag:3,nan+1j",
+      "--w", "diag:1,1"], "diag:3,nan+1j"),
+    (["demo", "sylvester", "--c", "diag:1,2", "--d", "diag:3,4",
+      "--w", "scalar:inf", "--k", "2"], "scalar:inf"),
+    (RIESZ + ["--t", "diag:1,inf"], "diag:1,inf"),
+    (RIESZ + ["--t", "diag:1,2", "--weight", "diag:1,nan"], "diag:1,nan"),
+    (RIESZ + ["--t", "diag:1,2", "--weight", "scalar:inf"], "scalar:inf"),
+])
+def test_non_finite_matrix_literal_exits_with_parameter_error(argv, literal,
+                                                              capsys):
+    """A NaN or infinite entry in a ``diag:`` or ``scalar:`` literal is
+    rejected as ``file:`` rejects one, before any numerics run: exit 2, one
+    line naming the literal, no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"twonorm: non-finite entry in matrix literal " \
+                  f"{literal!r}\n"
 
 
 def test_out_flag_writes_the_payload(tmp_path):

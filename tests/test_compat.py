@@ -69,7 +69,7 @@ def test_compat_margin_kappa_c_is_inf_for_an_exactly_singular_c(monkeypatch):
     # P + P+ - I = diag(0, -1): exactly singular, so the formula route is
     # suppressed and the condition number is infinite, with no divide warning
     fake = tn.ProjPair(Operator(np.diag([1.0, 0.0]), ws),
-                       Operator(np.zeros((2, 2)), ws), s, t)
+                       Operator(np.zeros((2, 2)), ws))
     monkeypatch.setattr(compat, "oblique_projection", lambda *args: fake)
     with pytest.warns(IllConditionedWarning):
         rep = tn.compat_margin(ws, s, t)

@@ -2,6 +2,7 @@
 every module-level private function, every method and property of a class
 and every UPPER_CASE module constant is read by some module of it, every
 cross-check that raises on a spectral norm goes through ``space._require``,
+no statement throws away the value of a package function that returns one,
 no public name is declared by two modules, only ``matio`` imports
 ``json``, only ``cli`` imports ``matio``, and the command line starts
 without ``scipy.sparse``."""
@@ -98,6 +99,71 @@ def test_unread_private_function_is_reported(tmp_path):
     b.write_text("import a\nfrom a import _called, _unread\n\n"
                  "_called()\na._by_attribute()\n")
     assert _unread_private_functions([a, b]) == ["a.py:13 _unread"]
+
+
+def _returns_value(func):
+    """Whether ``func`` has a ``return`` with a value other than ``None``
+    outside the functions, lambdas and classes nested in it."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return) and node.value is not None and not (
+                isinstance(node.value, ast.Constant)
+                and node.value.value is None):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _discarded_results(modules):
+    """Expression statements that call a function of ``modules`` whose
+    body returns a value, and so throw the value away: by name (``f(x)``)
+    or as an attribute (``mod.f(x)``, ``obj.f(x)``).  Functions at any
+    depth count, methods included; one whose every ``return`` is bare or
+    ``None`` does not."""
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    returning = {node.name for tree in trees.values()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and _returns_value(node)}
+    hits = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Call)):
+                continue
+            func = node.value.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in returning:
+                hits.append(f"{path.name}:{node.lineno} {name}")
+    return sorted(hits)
+
+
+def test_no_discarded_results():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _discarded_results(modules) == []
+
+
+def test_discarded_result_is_reported(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("def value():\n    return 1\n\n\n"
+                 "def bare():\n    return\n\n\n"
+                 "def none():\n    return None\n\n\n"
+                 "def outer():\n"
+                 "    def inner():\n        return 2\n\n"
+                 "    inner()\n\n\n"
+                 "def lambda_only():\n    f = lambda: 4\n    f()\n\n\n"
+                 "class Space:\n    def method(self):\n        return 5\n")
+    b = tmp_path / "b.py"
+    b.write_text("import a\nfrom a import value, bare\n\n"
+                 "value()\na.value()\nbare()\na.none()\na.outer()\n"
+                 "a.lambda_only()\nx = value()\nprint(value())\n"
+                 "a.Space().method()\nlen([])\n")
+    assert _discarded_results([a, b]) == ["a.py:17 inner",
+                                          "b.py:12 method",
+                                          "b.py:4 value",
+                                          "b.py:5 value"]
 
 
 def _unread_methods(modules):

@@ -12,6 +12,7 @@ import twonorm.cli as cli
 from twonorm import matio, rand
 from twonorm.errors import ContourTooClose, NotIdempotent, NotIsolated
 from twonorm.space import _spec_norm
+from twonorm.subspaces import _idempotent_cut, _range_kernel
 
 from conftest import count_calls, modest_space
 
@@ -202,10 +203,10 @@ def test_vvplus_rejects_non_idempotents():
 
 def test_check_spectra_trial_factors_the_ambient_matrix_once(monkeypatch,
                                                              capsys):
-    """One trial takes one eigensolve of T, for the spectrum tag, and one
-    eigendecomposition and one spectral norm of T+, for the left-eigenvector
-    residual; no eigensolve of the plus-adjoint or of the weighted
-    coordinates is paired with the first."""
+    """One trial takes one eigendecomposition and one spectral norm of T+,
+    for the left-eigenvector residual, and no eigensolve of T: every
+    spectrum tag is that eigensolve, and the residual checks the theorem
+    it rests on."""
     calls = count_calls(monkeypatch, {la: ("eigvals", "eig")})
     norm = np.linalg.norm
     spectral = []
@@ -218,7 +219,7 @@ def test_check_spectra_trial_factors_the_ambient_matrix_once(monkeypatch,
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     assert cli.main(["check", "spectra", "--trials", "1", "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
-    assert calls == {"scipy.linalg.eigvals": 1, "scipy.linalg.eig": 1}
+    assert calls == {"scipy.linalg.eig": 1}
     assert spectral == [(10, 10)]
 
 
@@ -241,11 +242,13 @@ def test_riesz_never_forms_the_plus_adjoint_of_the_operator(monkeypatch):
 
 
 def test_riesz_takes_one_schur_form_and_no_eigensolve(monkeypatch):
-    """The contour preconditions read the eigenvalues from the diagonal of
-    the Schur form the resolvents are taken from; no dense inverse runs."""
+    """The contour preconditions and the rank of the projection read the
+    eigenvalues from the diagonal of the Schur form the resolvents are
+    taken from; no dense inverse runs, and no SVD of the projection."""
     ws = modest_space(rand.trial_rng(12, 401), 5)
     t = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + 0.1 * np.triu(np.ones((5, 5)), 1)
-    calls = count_calls(monkeypatch, {la: ("schur", "eigvals", "inv")})
+    calls = count_calls(monkeypatch,
+                        {la: ("schur", "eigvals", "inv", "svd", "svdvals")})
     _, diag = tn.riesz_projection(ws, t, 2.0, 0.4, 64)
     assert diag.range_dim == 1
     assert calls == {"scipy.linalg.schur": 1}
@@ -301,6 +304,33 @@ def test_riesz_matches_the_dense_contour_oracle(trial):
     oracle_plus = _contour_sum(ws.plus_matrix(t), lam.conjugate(), 0.4, nodes)
     assert _spec_norm(q_plus - oracle_plus) \
         <= 64 * n * u * ws.weight_cond * _spec_norm(q_plus)
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_riesz_rank_matches_the_singular_value_cut_of_q(trial):
+    """``range_dim`` counts the Schur eigenvalues inside the contour.  The
+    route it replaced, kept as an oracle, counts the singular values of
+    ``Q`` above 1/2, which separates the zero ones from the others since
+    every nonzero singular value of a projection is at least one.  ``r``
+    of the ``n`` eigenvalues, ``r`` from 0 to ``n``, are planted within
+    ``eps / 4`` of ``lam``, clustered or repeated; the others lie in the
+    unit disc, at least ``2 eps`` away; ``V`` is not normal."""
+    rng = rand.trial_rng(29, trial)
+    n = int(rng.integers(2, 30))
+    r = int(rng.integers(0, n + 1))
+    m = int(rng.choice([16, 32, 64]))
+    lam, eps = complex(2.0, rng.uniform(-1.0, 1.0)), 0.4
+    d = np.sqrt(rng.uniform(0.0, 1.0, n)) \
+        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    near = lam + 0.1 * rng.uniform(0.0, 1.0, r) \
+        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, r))
+    d[:r] = near if trial % 2 else lam
+    v = np.eye(n) + rand._complex_gauss(rng, n, n) * (0.5 / np.sqrt(n))
+    t = (v * d) @ np.linalg.inv(v)
+    ws = modest_space(rng, n)
+    pair, diag = tn.riesz_projection(ws, t, lam, eps, m)
+    sv_rank = _range_kernel(ws, pair.p.matrix, _idempotent_cut)[1].rank
+    assert diag.range_dim == sv_rank == r
 
 
 def test_riesz_cli_passes_a_weighted_input_the_dense_route_failed(tmp_path,

@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import twonorm as tn
 import twonorm.cli as cli
@@ -14,6 +15,8 @@ import twonorm.schatten as schatten
 import twonorm.studies as studies
 from twonorm.errors import BadExponent
 from twonorm.studies import StudyRow
+
+from conftest import count_calls
 
 
 def test_diverge_study_rejects_bad_exponents():
@@ -71,6 +74,15 @@ def test_diverge_rows_match_the_closed_form(beta):
         margin = 1.0 / (a + np.sqrt((a - 1.0) * (a + 1.0)))
         assert abs(row.q_norm - a) <= 1e-14 * a
         assert abs(row.margin_c - margin) <= 1e-14 * margin
+
+
+@pytest.mark.parametrize("control", [False, True])
+def test_diverge_rows_take_no_eigendecomposition(control, monkeypatch):
+    """The weight ``diag(1/i^2)`` is its own eigendecomposition."""
+    calls = count_calls(monkeypatch, {la: ("eigh", "eigvalsh")})
+    rows = tn.diverging_vector_study([8, 64], 0.5, control=control)
+    assert len(rows) == 2
+    assert calls == {}
 
 
 def test_diverge_control_keeps_q_norm_flat():
