@@ -151,7 +151,7 @@ def _suite_spectra(rng, dim):
     ws = rand.random_space(rng, dim)
     t = Operator(rand.random_operator(rng, ws), ws)
     mu, x = la.eig(t.plus.matrix)
-    yh = (ws.weight @ x).conj().T
+    yh = ws.apply_weight(x).conj().T
     res = np.linalg.norm(yh @ t.matrix - mu.conj()[:, np.newaxis] * yh,
                          axis=1) / np.linalg.norm(yh, axis=1)
     return res.max() / (ws.weight_cond * _spec_norm(t.plus.matrix))

@@ -136,8 +136,8 @@ def _lproj_matrix(ws, s):
     if s.rank == 0:
         return np.zeros((ws.dim, ws.dim), dtype=complex)
     b = s.basis
-    gram = b.conj().T @ ws.weight @ b
-    return b @ la.solve(gram, b.conj().T @ ws.weight, assume_a="pos")
+    b_dual = ws.dual(b)
+    return b @ la.solve(b_dual @ b, b_dual, assume_a="pos")
 
 
 def compat_projection(ws, s):

@@ -143,10 +143,14 @@ def loads_matrix(text):
     if len(head) != 2:
         raise ValueError(f"bad matrix header: {lines[0]!r}")
     rows, cols = int(head[0]), int(head[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    out = np.zeros((rows, cols), dtype=complex)
     table = [line.split() for line in lines[1:]]
+    if cols == 0:
+        # a row without entries is a blank line, skipped like any other
+        _raise_first_fault(table, cols)
+        return np.zeros((rows, 0), dtype=complex)
+    if len(table) != rows:
+        raise ValueError(f"expected {rows} rows, found {len(table)}")
+    out = np.zeros((rows, cols), dtype=complex)
     entries = _bulk_entries(table, cols)
     if entries is None:
         _raise_first_fault(table, cols)

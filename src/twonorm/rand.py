@@ -90,6 +90,6 @@ def random_biorthogonal_system(rng, ws, m):
     """
     f = _complex_gauss(rng, ws.dim, m)
     k = _complex_gauss(rng, ws.dim, m)
-    cross = k.conj().T @ ws.weight @ f
+    cross = ws.dual(k) @ f
     h = k @ la.inv(cross).conj().T
     return f, h

@@ -116,9 +116,13 @@ class WeightedSpace:
     """C^n with an ambient-norm tag and a Hermitian positive definite weight.
 
     Instances are immutable; use :func:`make_space` to construct one with
-    validation.  The eigendecomposition of the weight is cached at
-    construction and reused for every weighted computation; a diagonal
-    weight, the identity included, is its own, with no ``eigh``.
+    validation.  The space is the one place that knows how the weight is
+    stored, and every weighted computation goes through it: ``A X`` is
+    :meth:`apply_weight` and ``X* A`` is :meth:`dual`.  A dense weight is
+    factored by one ``eigh`` at construction, cached and reused.  A
+    diagonal weight, the identity included, is kept as its real diagonal
+    and applied by scaling rows or columns, with no ``eigh`` and no n x n
+    eigenvector matrix.
 
     Parameters
     ----------
@@ -136,6 +140,8 @@ class WeightedSpace:
     dim: int
     weight: np.ndarray
     enorm: str = "euclid"
+    # eigenvalues and eigenvectors of a dense weight, sorted by eigh; a
+    # diagonal weight's diagonal, in its own order, and None
     _evals: np.ndarray = field(init=False, repr=False, compare=False)
     _evecs: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -143,14 +149,10 @@ class WeightedSpace:
         w = np.array(self.weight, dtype=complex)
         w.setflags(write=False)
         object.__setattr__(self, "weight", w)
-        # A diagonal weight, the identity of every trace-tag space included,
-        # is its own eigendecomposition: its sorted diagonal and the matching
-        # identity columns.  Counting nonzeros tells it from a dense weight.
-        d = w.diagonal().real
+        # Counting nonzeros tells a diagonal weight from a dense one.
+        d = w.diagonal().real.copy()
         if np.count_nonzero(w) == np.count_nonzero(d):
-            order = np.argsort(d, kind="stable")
-            evals, evecs = d[order], np.zeros(w.shape, dtype=complex)
-            evecs[order, np.arange(len(d))] = 1.0
+            evals, evecs = d, None
         else:
             evals, evecs = la.eigh(w)
         object.__setattr__(self, "_evals", evals)
@@ -166,36 +168,60 @@ class WeightedSpace:
     @property
     def weight_cond(self):
         """Condition number of the weight."""
-        return float(self._evals[-1] / self._evals[0])
+        return float(self._evals.max() / self._evals.min())
+
+    def apply_weight(self, x):
+        """``A X`` for a vector or a matrix ``X``; a diagonal weight scales
+        its rows."""
+        if self._evecs is None:
+            d = self._evals if x.ndim == 1 else self._evals[:, np.newaxis]
+            return d * x
+        return self.weight @ x
+
+    def dual(self, x):
+        """``X* A`` for a vector or a matrix ``X``: row i is the functional
+        ``f -> <f, x_i>_L``; a diagonal weight scales the columns of
+        ``X*``."""
+        if self._evecs is None:
+            return x.conj().T * self._evals
+        return x.conj().T @ self.weight
 
     def inner(self, f, g):
         """Weighted inner product <f, g>_L = g* A f."""
         f = _as_vector(f, self.dim, "f")
         g = _as_vector(g, self.dim, "g")
-        return complex(g.conj() @ (self.weight @ f))
+        return complex(g.conj() @ self.apply_weight(f))
 
     def lnorm_vec(self, f):
         f = _as_vector(f, self.dim, "f")
         return float(np.sqrt(max(self.inner(f, f).real, 0.0)))
 
     def plus_matrix(self, m):
-        """Plus-adjoint A^{-1} M* A of a raw matrix, via the cached
-        eigendecomposition of the weight."""
+        """Plus-adjoint A^{-1} M* A of a raw matrix: ``d^-1 M* d``
+        entrywise for a diagonal weight ``d``, so ``M*`` itself under the
+        identity, and through the cached eigendecomposition of a dense
+        one."""
         m = _as_matrix(m, self.dim)
         u, ev = self._evecs, self._evals
+        if u is None:
+            return (m.conj().T * ev) / ev[:, np.newaxis]
         core = u.conj().T @ m.conj().T @ u
         core = (core * ev[np.newaxis, :]) / ev[:, np.newaxis]
         return u @ core @ u.conj().T
 
     def plus_factored(self, z, s):
         """Plus-adjoint of ``Z S Z*`` from its factors, as
-        ``(A^{-1} Z) S* (A Z)*`` via the cached eigendecomposition of the
-        weight; it equals ``plus_matrix(Z S Z*)`` up to the rounding of
-        the two evaluation orders."""
+        ``(A^{-1} Z) S* (A Z)*``: the rows of ``Z`` scaled under a diagonal
+        weight, through the cached eigendecomposition of a dense one.  It
+        equals ``plus_matrix(Z S Z*)`` up to the rounding of the two
+        evaluation orders."""
         u, ev = self._evecs, self._evals
-        zw = u.conj().T @ z
-        inv_a_z = u @ (zw / ev[:, np.newaxis])
-        a_z = u @ (zw * ev[:, np.newaxis])
+        if u is None:
+            inv_a_z, a_z = z / ev[:, np.newaxis], z * ev[:, np.newaxis]
+        else:
+            zw = u.conj().T @ z
+            inv_a_z = u @ (zw / ev[:, np.newaxis])
+            a_z = u @ (zw * ev[:, np.newaxis])
         return inv_a_z @ s.conj().T @ a_z.conj().T
 
 
@@ -265,8 +291,9 @@ def make_space(n, weight, enorm="euclid"):
     """Validate and build a :class:`WeightedSpace`.
 
     A finite weight is Hermitian-symmetrized as ``(A + A*) / 2`` before
-    the other checks run.  They read the eigenvalues the space caches, so
-    the weight is factored at most once: a diagonal one is not factored.
+    the other checks run.  They read the smallest and largest eigenvalue
+    from what the space keeps, so a dense weight is factored once and a
+    diagonal one, whose eigenvalues are its diagonal, not at all.
 
     Parameters
     ----------
@@ -304,15 +331,15 @@ def make_space(n, weight, enorm="euclid"):
         raise ValueError("weight must have finite entries")
     a = (a + a.conj().T) / 2.0
     ws = WeightedSpace(n, a, enorm)
-    evals = ws._evals
-    if evals[0] <= TOL_PD:
+    low, high = ws._evals.min(), ws._evals.max()
+    if low <= TOL_PD:
         raise NotPositiveDefinite(
-            f"weight has eigenvalue {evals[0]:.3e} at or below {TOL_PD:.0e}"
+            f"weight has eigenvalue {low:.3e} at or below {TOL_PD:.0e}"
         )
     if enorm == "euclid":
-        if evals[-1] > 1.0 + TOL_CAP:
+        if high > 1.0 + TOL_CAP:
             raise NormCapViolated(
-                f"weight spectral norm {evals[-1]:.12f} exceeds 1"
+                f"weight spectral norm {high:.12f} exceeds 1"
             )
     else:
         k = int(round(np.sqrt(n)))
@@ -320,7 +347,9 @@ def make_space(n, weight, enorm="euclid"):
             raise DimMismatch(
                 f"trace tag needs a perfect-square dimension, got {n}"
             )
-        if np.abs(a - np.eye(n)).max() > TOL_HERM:
+        dev = np.abs(ws._evals - 1.0).max() if ws._evecs is None \
+            else np.abs(a - np.eye(n)).max()
+        if dev > TOL_HERM:
             raise NonIdentityWeightForTrace(
                 "trace-tag spaces require the identity weight"
             )
@@ -480,9 +509,14 @@ def opnorm(ws, t, which="E"):
     m = as_matrix(t, ws)
     if which == "L":
         # T in L-orthonormal coordinates, A^{1/2} T A^{-1/2}, up to the
-        # unitary factor of A = U D U*, which leaves the norm alone
+        # unitary factor of A = U D U*, which leaves the norm alone; for a
+        # diagonal weight U is the permutation of its stable sort, a gather
         root = np.sqrt(ws._evals)
-        core = ws._evecs.conj().T @ m @ ws._evecs
+        if ws._evecs is None:
+            order = np.argsort(ws._evals, kind="stable")
+            root, core = root[order], m[np.ix_(order, order)]
+        else:
+            core = ws._evecs.conj().T @ m @ ws._evecs
         return _spec_norm((core * (1.0 / root)) * root[:, np.newaxis])
     if which != "E":
         raise ValueError(f"unknown norm tag {which!r}")
@@ -535,5 +569,4 @@ def is_L_isometric(ws, g):
     ones whose weighted extension is a Hilbert-space isometry.
     """
     m = as_matrix(g, ws)
-    a = ws.weight
-    return bool(_spec_norm(m.conj().T @ a @ m - a) <= TOL_ISO)
+    return bool(_spec_norm(ws.dual(m) @ m - ws.weight) <= TOL_ISO)

@@ -138,9 +138,8 @@ def riesz_projection(ws, t, lam, eps, m=64):
         ``plus_res`` is the spectral-norm distance from the plus-adjoint
         ``A^{-1} Q* A`` of the returned ``Q`` to the contour sum for
         ``T+``.  Both are the same matrix ``A^{-1} Z S* Z* A``, evaluated
-        in two orders through the weight's eigendecomposition, so the
-        figure measures the rounding of the ``A^{-1} . A`` similarity,
-        of order ``u cond(A) max(1, |Q|_2)^2``.
+        in two orders, so the figure measures the rounding of the
+        ``A^{-1} . A`` similarity, of order ``u cond(A) max(1, |Q|_2)^2``.
 
     Raises
     ------

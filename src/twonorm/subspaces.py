@@ -218,7 +218,7 @@ def complement_L(ws, s):
     Every call recomputes the complement; :attr:`Subspace.complement`
     computes it once per subspace and is what the package itself uses.
     """
-    q, _ = la.qr(ws.weight @ s.basis)
+    q, _ = la.qr(ws.apply_weight(s.basis))
     return Subspace(q[:, s.rank:], ws)
 
 
@@ -299,13 +299,15 @@ def _validate_idempotent_pair(ws, p, p_plus, p_norm):
     hold the unscaled contract figures.  Range and kernel hold by
     construction (``p`` is ``B_S X``, ``B G^-1 B* A`` or ``F H* A``), and
     so does ``p_plus``: it is ``ws.plus_matrix(p)``, ``p`` itself or
-    ``H F* A``, each the plus-adjoint of ``p`` by construction.
+    ``H F* A``, each the plus-adjoint of ``p`` by construction.  When it is
+    ``p`` itself, ``p`` is checked once.
     """
     scale = max(1.0, p_norm) ** 2 * max(1.0, ws.weight_cond)
     _require(p @ p - p, 1e-10 * scale,
              "projection failed the idempotency check")
-    _require(p_plus @ p_plus - p_plus, 1e-10 * scale,
-             "plus-adjoint failed the idempotency check")
+    if p_plus is not p:
+        _require(p_plus @ p_plus - p_plus, 1e-10 * scale,
+                 "plus-adjoint failed the idempotency check")
 
 
 def _block_solve_projection(s, t):
@@ -434,14 +436,15 @@ def finite_rank_proper_projection(ws, f_list, h_list):
     if f.shape[1] != h.shape[1]:
         raise DimMismatch("the two families must have equal length")
     m = f.shape[1]
-    gram = h.conj().T @ ws.weight @ f
+    h_dual = ws.dual(h)
+    gram = h_dual @ f
     dev = np.abs(gram - np.eye(m)).max() if m else 0.0
     if dev > TOL_BIO:
         raise BiorthogonalityViolated(
             f"cross-Gram deviates from identity by {dev:.3e}"
         )
-    p = f @ (h.conj().T @ ws.weight)
-    p_plus = h @ (f.conj().T @ ws.weight)
+    p = f @ h_dual
+    p_plus = h @ ws.dual(f)
     _validate_idempotent_pair(ws, p, p_plus, _spec_norm(p))
     return ProjPair(Operator(p, ws), Operator(p_plus, ws))
 

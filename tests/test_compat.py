@@ -164,6 +164,24 @@ def test_compat_projection_takes_one_weighted_solve(monkeypatch):
     assert calls == {"scipy.linalg.solve": 1}
 
 
+def test_compat_projection_checks_its_idempotency_once(monkeypatch):
+    """``Q`` is its own plus-adjoint, so ``Q Q - Q`` is formed once, and a
+    failure still reads as the projection's, with the same tolerance."""
+    rng = rand.trial_rng(15, 3)
+    ws = rand.random_space(rng, 6)
+    s = rand.random_subspace(rng, ws, 2)
+    calls = count_calls(monkeypatch, {subspaces: ("_require",)})
+    tn.compat_projection(ws, s)
+    assert calls == {"twonorm.subspaces._require": 1}
+    monkeypatch.setattr(compat, "_lproj_matrix",
+                        lambda ws, s: 2.0 * np.eye(ws.dim))
+    scale = 4.0 * max(1.0, ws.weight_cond)
+    with pytest.raises(ArithmeticError,
+                       match=rf"^projection failed the idempotency check "
+                             rf"\(2\.000e\+00 > {1e-10 * scale:.3e}\)$"):
+        tn.compat_projection(ws, s)
+
+
 def test_compat_projection_returns_near_the_weight_floor():
     """A near-floor draw (n = 8, rank 7, cond(A) = 8.1e9) whose projection
     a principal-angle test of its kernel at the unscaled 1e-8 used to

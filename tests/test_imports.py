@@ -4,8 +4,8 @@ and every UPPER_CASE module constant is read by some module of it, every
 cross-check that raises on a spectral norm goes through ``space._require``,
 no statement throws away the value of a package function that returns one,
 no public name is declared by two modules, only ``matio`` imports
-``json``, only ``cli`` imports ``matio``, and the command line starts
-without ``scipy.sparse``."""
+``json``, only ``cli`` imports ``matio``, only ``space`` knows how the
+weight is stored, and the command line starts without ``scipy.sparse``."""
 
 import ast
 import re
@@ -431,6 +431,75 @@ def test_matio_import_outside_cli_is_reported(tmp_path):
                                              "a.py:6 matio",
                                              "b.py:1 twonorm.matio"]
 
+
+
+# the one function outside ``space.py`` that may multiply by ``.weight``:
+# the check suite that tests ``plus_matrix`` against the stored weight
+_WEIGHT_ORACLES = {("cli.py", "_suite_adjoint")}
+
+
+def _weight_storage_readers(modules):
+    """Reads of ``_evals`` or ``_evecs``, and products (``@``, ``*``,
+    ``dot``, ``matmul``, ``multiply``, ``einsum``) with a ``.weight``
+    operand, outside ``space.py``, which alone knows how the weight is
+    stored, and outside the functions of ``_WEIGHT_ORACLES``."""
+    hits = []
+    for path in modules:
+        if path.name == "space.py":
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = {id(n) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef)
+                  and (path.name, func.name) in _WEIGHT_ORACLES
+                  for n in ast.walk(func)}
+
+        def is_weight(node):
+            return isinstance(node, ast.Attribute) and node.attr == "weight"
+
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in ("_evals", "_evecs"):
+                hits.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.BinOp) \
+                    and isinstance(node.op, (ast.MatMult, ast.Mult)) \
+                    and (is_weight(node.left) or is_weight(node.right)):
+                hits.append(f"{path.name}:{node.lineno} weight product")
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) in (
+                    "dot", "matmul", "multiply", "einsum") \
+                    and any(map(is_weight, node.args)):
+                hits.append(f"{path.name}:{node.lineno} weight product")
+    return sorted(hits)
+
+
+def test_only_space_knows_how_the_weight_is_stored():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _weight_storage_readers(modules) == []
+
+
+def test_weight_storage_reader_is_reported(tmp_path):
+    space = tmp_path / "space.py"
+    space.write_text("def plus(ws, m):\n"
+                     "    return ws._evecs @ m * ws.weight\n")
+    cli = tmp_path / "cli.py"
+    cli.write_text("def _suite_adjoint(ws, t):\n"
+                   "    return ws.weight @ t - t @ ws.weight\n\n\n"
+                   "def _suite_other(ws, t):\n"
+                   "    return ws.weight @ t\n")
+    a = tmp_path / "a.py"
+    a.write_text("import numpy as np\n\n\n"
+                 "def f(ws, x):\n"
+                 "    cond = ws._evals[-1]\n"
+                 "    y = x.conj().T @ ws.weight @ x\n"
+                 "    z = np.dot(ws.weight, x) + 2.0 * ws.weight\n"
+                 "    return ws.weight.shape, ws.dual(x), ws._evecs\n")
+    assert _weight_storage_readers([space, cli, a]) == [
+        "a.py:5 _evals", "a.py:6 weight product", "a.py:7 weight product",
+        "a.py:7 weight product", "a.py:8 _evecs",
+        "cli.py:6 weight product"]
 
 
 def test_cli_import_leaves_out_scipy_sparse():

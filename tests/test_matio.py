@@ -108,6 +108,26 @@ def test_subspace_roundtrip(tmp_path):
     assert tn.max_principal_angle(s, s2) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+def test_empty_matrix_roundtrip(shape):
+    """An n x 0 matrix is written as its header and n blank rows, which
+    the reader skips like any blank line; a stray entry is still refused."""
+    m = np.zeros(shape, dtype=complex)
+    back = matio.loads_matrix(matio.dumps_matrix(m))
+    assert back.shape == shape and back.dtype == complex
+    assert matio.loads_matrix("3 0\n").shape == (3, 0)
+    with pytest.raises(ValueError, match="^row 0 has 1 entries, wanted 0$"):
+        matio.loads_matrix("3 0\n\n1,0\n")
+
+
+def test_zero_subspace_roundtrip(tmp_path):
+    ws = tn.make_space(3, np.diag([1.0, 0.5, 0.25]))
+    path = tmp_path / "zero.sub"
+    matio.dump_subspace(tn.span(ws, []), path)
+    loaded = matio.load_subspace(path, ws)
+    assert loaded.rank == 0 and loaded.basis.shape == (3, 0)
+
+
 def test_load_subspace_reorthonormalizes_a_nearly_orthonormal_basis(tmp_path):
     """A basis off by about 1e-9 passes the 1e-8 acceptance test and loads
     as an orthonormal basis of the same span."""

@@ -507,16 +507,34 @@ def test_matrix_space_builds_its_weight_on_first_access():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 16])
 def test_matrix_space_weight_takes_no_eigh(k, monkeypatch):
-    """The identity weight is its own eigendecomposition, bit for bit the
-    one ``eigh`` returns."""
-    evals, evecs = la.eigh(np.eye(k * k, dtype=complex))
+    """The identity weight is never factored, and what is read from it
+    costs nothing: the plus-adjoint is ``M*`` and the weighted norm the
+    spectral norm, bit for bit."""
     calls = count_calls(monkeypatch, {la: ["eigh", "eigvalsh"],
                                       np.linalg: ["eigh", "eigvalsh"]})
     ws = tn.matrix_space(k).ws
+    m = rand._complex_gauss(rand.trial_rng(29, k), k * k, k * k)
+    assert np.array_equal(ws.plus_matrix(m), m.conj().T)
+    assert tn.opnorm(ws, m, "L") == np.linalg.norm(m, 2)
     assert not calls
-    assert ws._evals.dtype == evals.dtype and ws._evecs.dtype == evecs.dtype
-    assert np.array_equal(ws._evals, evals)
-    assert np.array_equal(ws._evecs, evecs)
+
+
+def test_identity_plus_matrix_allocates_a_few_copies():
+    """On ``matrix_space(32)`` (n = 1024) the plus-adjoint is ``M*`` from
+    elementwise passes over the validated copy, with at most three n x n
+    complex arrays alive at once; the route through an eigenvector matrix
+    peaked at five."""
+    ws = tn.matrix_space(32).ws
+    n = ws.dim
+    m = rand._complex_gauss(rand.trial_rng(29, 32), n, n)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        ws.plus_matrix(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4 * n * n * 16
 
 
 def _dense_transport_verdicts(q, q_t, x):

@@ -12,6 +12,7 @@ from twonorm.errors import (
     NonIdentityWeightForTrace,
     NormCapViolated,
     NotPositiveDefinite,
+    TwoNormError,
 )
 from twonorm.space import _require, _spec_norm
 
@@ -83,9 +84,9 @@ def test_trace_tag_needs_identity_weight():
 
 
 def test_make_space_factors_the_weight_once(monkeypatch):
-    """Validation reads the eigenvalues the space caches; a diagonal
-    weight, the identity of a trace-tag space included, is its own
-    eigendecomposition, and a dense weight takes one ``eigh``."""
+    """Validation reads the eigenvalues from what the space keeps: a
+    diagonal weight, the identity of a trace-tag space included, is read
+    from its diagonal, and a dense weight takes one ``eigh``."""
     calls = count_calls(monkeypatch, {la: ("eigh", "eigvalsh")})
     tn.make_space(4, np.diag([1.0, 0.5, 0.25, 0.125]))
     tn.make_space(4, np.eye(4), enorm="trace")
@@ -104,15 +105,19 @@ def _eigh_space(n, weight):
     return ws
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(entries=st.lists(
+# diagonal weights whose entries repeat, come unsorted and reach down to
+# the positivity floor
+_DIAGONALS = st.lists(
     st.sampled_from([1.0, 0.5, 0.5, 0.25, 0.3, 1e-3, 3e-12, 2e-12,
                      1.0 - 1e-13]),
-    min_size=1, max_size=12), seed=st.integers(0, 2 ** 16))
+    min_size=1, max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(entries=_DIAGONALS, seed=st.integers(0, 2 ** 16))
 def test_diagonal_weight_route_matches_eigh(entries, seed):
-    """A diagonal weight is its own eigendecomposition: the eigenvalues
-    are its diagonal, sorted, exactly.  Entries repeat, come unsorted and
-    reach down to the positivity floor.
+    """A diagonal weight is read from its diagonal, with no ``eigh``.
+    Entries repeat, come unsorted and reach down to the positivity floor.
 
     ``eigh`` returns a signed permutation as eigenvectors and, except at
     n = 2, the diagonal exactly; then the plus-adjoint and the condition
@@ -128,8 +133,7 @@ def test_diagonal_weight_route_matches_eigh(entries, seed):
     n = len(entries)
     weight = np.diag(entries)
     ws, ref = tn.make_space(n, weight), _eigh_space(n, weight)
-    assert np.array_equal(ws._evals, np.sort(entries))
-    exact = np.array_equal(ref._evals, ws._evals)
+    exact = np.array_equal(ref._evals, np.sort(entries))
     assert exact or n == 2
     m = rand._complex_gauss(rand.trial_rng(23, seed), n, n)
     tol = 8 * np.finfo(float).eps
@@ -143,6 +147,55 @@ def test_diagonal_weight_route_matches_eigh(entries, seed):
     assert (np.abs(plus - ref_plus) <= tol * np.abs(ref_plus)).all()
     assert abs(ws.weight_cond - ref.weight_cond) <= tol * ref.weight_cond
     assert abs(norm - ref_norm) <= tol * ref_norm
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class and message it raised."""
+    try:
+        return fn(*args)
+    except (TwoNormError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(entries=_DIAGONALS, r=st.integers(0, 12), seed=st.integers(0, 2 ** 16))
+def test_diagonal_weight_applies_as_the_eigh_route(entries, r, seed):
+    """Scaling rows and columns by a diagonal weight gives bit for bit the
+    products with the stored weight that a dense weight takes: the inner
+    product, the weighted complement, the canonical projection and the
+    finite-rank projection agree with the ``eigh`` oracle exactly, or raise
+    the same error near the floor.  ``plus_factored`` reads the
+    eigenvalues, which ``eigh`` returns exactly except at n = 2 (see
+    :func:`test_diagonal_weight_route_matches_eigh`); there it may move by
+    the rounding of ``(A^-1 Z) S* (A Z)*`` under a one-ulp change of the
+    weight."""
+    n = len(entries)
+    r = min(r, n)
+    weight = np.diag(entries)
+    ws, ref = tn.make_space(n, weight), _eigh_space(n, weight)
+    rng = rand.trial_rng(31, seed)
+    f, g = rand._complex_gauss(rng, n), rand._complex_gauss(rng, n)
+    assert ws.inner(f, g) == ref.inner(f, g)
+    s = rand.random_subspace(rng, ws, r)
+    assert np.array_equal(tn.complement_L(ws, s).basis,
+                          tn.complement_L(ref, s).basis)
+    fams = rand.random_biorthogonal_system(rng, ws, r)
+    for build, args in ((tn.compat_projection, (s,)),
+                        (tn.finite_rank_proper_projection, fams)):
+        got, want = _outcome(build, ws, *args), _outcome(build, ref, *args)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got.p.matrix, want.p.matrix)
+            assert np.array_equal(got.p_plus.matrix, want.p_plus.matrix)
+    z, sm = (rand._complex_gauss(rng, n, n) for _ in range(2))
+    plus, ref_plus = ws.plus_factored(z, sm), ref.plus_factored(z, sm)
+    if np.array_equal(ref._evals, np.sort(entries)):
+        assert np.array_equal(plus, ref_plus)
+    d = np.array(entries)[:, np.newaxis]
+    tol = 8 * np.finfo(float).eps * _spec_norm(z / d) * _spec_norm(sm) \
+        * _spec_norm(z * d)
+    assert _spec_norm(plus - ref_plus) <= tol
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
