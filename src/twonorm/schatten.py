@@ -179,14 +179,27 @@ def _pair_margin(z):
     return float(np.abs(1.0 + np.multiply.outer(np.conj(lam), lam)).min())
 
 
+def _square_nonempty(m, name):
+    """``m`` as a complex array, checked to be a non-empty square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimMismatch(f"{name} must be square and non-empty, got {m.shape}")
+    return m
+
+
 def z_criterion_margin(z):
     """Eigenvalue-pair and operator margins of ``I + (x -> z* x z)``.
 
     Returns
     -------
     ZCriterionReport
+
+    Raises
+    ------
+    DimMismatch
+        If ``z`` is not a non-empty square matrix.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _square_nonempty(z, "block")
     k = z.shape[0]
     flat = np.eye(k * k) + np.kron(z.T, z.conj().T)
     return ZCriterionReport(
@@ -236,15 +249,17 @@ def sylvester(c, d, w, force=False):
 
     Raises
     ------
+    DimMismatch
+        If the three shapes differ or are not one non-empty square shape.
     SingularSystem
         If ``force`` is set while the spectra overlap.
     """
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if not (c.shape == d.shape == w.shape) or c.ndim != 2:
+    if not c.shape == d.shape == w.shape:
         raise DimMismatch("coefficient and right-hand side shapes differ")
-    k = c.shape[0]
+    k = _square_nonempty(c, "coefficients").shape[0]
     tc, uc = la.schur(c, output="complex")
     td, ud = la.schur(d, output="complex")
     min_sep = float(np.abs(np.subtract.outer(np.diag(tc), np.diag(td))).min())

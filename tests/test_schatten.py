@@ -11,6 +11,7 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 import twonorm as tn
+import twonorm.cli as cli
 import twonorm.schatten as schatten
 from twonorm import matio, rand
 from twonorm.errors import DimMismatch, SingularSystem
@@ -178,6 +179,30 @@ def test_sylvester_force_on_singular_system_raises():
 def test_sylvester_rejects_mismatched_shapes():
     with pytest.raises(DimMismatch):
         tn.sylvester(np.eye(2), np.eye(3), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
+def test_sylvester_rejects_empty_or_non_square_coefficients(shape):
+    with pytest.raises(DimMismatch, match="square and non-empty"):
+        tn.sylvester(np.ones(shape), np.ones(shape), np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)])
+def test_z_criterion_rejects_empty_or_non_square_blocks(shape):
+    with pytest.raises(DimMismatch, match="square and non-empty"):
+        tn.z_criterion_margin(np.ones(shape))
+
+
+def test_demo_sylvester_on_empty_matrices_is_a_parameter_error(
+        tmp_path, capsys):
+    path = tmp_path / "empty.mat"
+    matio.dump_matrix(np.zeros((0, 0)), path)
+    argv = ["demo", "sylvester"]
+    for name in ("c", "d", "w"):
+        argv += [f"--{name}", f"file:{path}"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "twonorm: coefficients must be square and non-empty, got (0, 0)\n")
 
 
 def _kronecker_route(c, d, w):

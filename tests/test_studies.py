@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -59,30 +60,83 @@ def test_diverge_study_frozen_first_row():
     assert row.aux == {}
 
 
+def _library_row(n, beta, control):
+    """``(margin_c, q_norm)`` of one row by the dense library route: the
+    weighted space, the weighted complement of ``g`` and ``compat_margin``
+    with its default companion."""
+    idx = np.arange(1, n + 1, dtype=float)
+    ws = tn.make_space(n, np.diag(1.0 / idx ** 2))
+    g = np.eye(n)[0] if control else idx ** (-beta)
+    rep = tn.compat_margin(ws, tn.span(ws, [g]).complement)
+    return rep.margin_c, rep.q_norm
+
+
 @pytest.mark.parametrize("beta", [0.25, 0.3, 0.4, 0.5])
 def test_diverge_rows_match_the_closed_form(beta):
-    """The canonical projection onto the hyperplane weighted-orthogonal to
-    ``g`` is ``I - g (g* A g)^{-1} g* A``, a rank-one change of the identity
-    with norm ``a = |g| |A g| / (g* A g)``.  ``C = 2Q - I`` then has
-    smallest singular value ``1 / (a + sqrt(a^2 - 1))``."""
-    rows = tn.diverging_vector_study([8, 16, 32, 64, 128], beta)
-    for row in rows:
-        idx = np.arange(1, row.n + 1, dtype=float)
-        g = idx ** (-beta)
-        ag = g / idx ** 2
-        a = np.linalg.norm(g) * np.linalg.norm(ag) / (g @ ag)
-        margin = 1.0 / (a + np.sqrt((a - 1.0) * (a + 1.0)))
-        assert abs(row.q_norm - a) <= 1e-14 * a
-        assert abs(row.margin_c - margin) <= 1e-14 * margin
+    """The rows read ``|Q|_2`` and the smallest singular value of
+    ``C = 2Q - I`` from the closed form; the library builds ``Q`` and ``C``
+    as n x n matrices and factors them."""
+    sizes = [8, 16, 32, 64, 128]
+    for control in (False, True):
+        rows = tn.diverging_vector_study(sizes, beta, control=control)
+        for row in rows:
+            margin, q_norm = _library_row(row.n, beta, control)
+            assert abs(row.q_norm - q_norm) <= 1e-14 * q_norm
+            assert abs(row.margin_c - margin) <= 1e-14 * margin
+
+
+def test_diverge_rows_lie_within_a_few_rounding_units_of_40_digits():
+    """Against the same closed form in 40-digit arithmetic, at the sizes
+    where summation order matters most; control rows are exactly 1."""
+    mp = pytest.importorskip("mpmath")
+    u = np.finfo(float).eps / 2
+    with mp.workdps(40):
+        for beta in (0.01, 0.25, 0.45, 0.5):
+            rows = tn.diverging_vector_study([2, 75, 2048], beta)
+            for row in rows:
+                g = [mp.mpf(i) ** -mp.mpf(beta) for i in range(1, row.n + 1)]
+                wg = [x / i ** 2 for i, x in enumerate(g, 1)]
+                a = mp.sqrt(mp.fsum(x * x for x in g)
+                            * mp.fsum(x * x for x in wg))
+                a /= mp.fsum(x * y for x, y in zip(g, wg))
+                margin = 1 / (a + mp.sqrt(a * a - 1))
+                assert abs(row.q_norm - a) <= 8 * u * a
+                assert abs(row.margin_c - margin) <= 8 * u * margin
+    for row in tn.diverging_vector_study([2, 64, 2048], 0.5, control=True):
+        assert (row.margin_c, row.q_norm) == (1.0, 1.0)
+
+
+# the factorization entry points of scipy.linalg and numpy.linalg
+_FACTORIZATIONS = {
+    la: ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "qr",
+         "lu", "lu_factor", "cholesky", "cho_factor", "schur", "inv",
+         "solve", "lstsq", "pinv", "null_space", "orth", "subspace_angles"),
+    np.linalg: ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals",
+                "qr", "cholesky", "inv", "solve", "lstsq", "pinv",
+                "matrix_rank", "cond"),
+}
 
 
 @pytest.mark.parametrize("control", [False, True])
 def test_diverge_rows_take_no_eigendecomposition(control, monkeypatch):
-    """The weight ``diag(1/i^2)`` is its own eigendecomposition."""
-    calls = count_calls(monkeypatch, {la: ("eigh", "eigvalsh")})
+    """The rows are a closed form in O(n) sums: no factorization at all."""
+    calls = count_calls(monkeypatch, _FACTORIZATIONS)
     rows = tn.diverging_vector_study([8, 64], 0.5, control=control)
     assert len(rows) == 2
     assert calls == {}
+
+
+def test_diverge_row_at_a_million_needs_no_matrix():
+    """At n = 10^6 the dense weight alone would take 8 TB; the row needs a
+    few vectors of length n."""
+    tracemalloc.start()
+    try:
+        row, = tn.diverging_vector_study([10 ** 6], 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert row.q_norm > tn.diverging_vector_study([10 ** 3], 0.5)[0].q_norm
 
 
 def test_diverge_control_keeps_q_norm_flat():
@@ -106,7 +160,6 @@ def test_symmetry_study_builds_no_matrix_space(monkeypatch):
         raise AssertionError("a matrix space was built")
 
     monkeypatch.setattr(schatten, "make_space", refuse)
-    monkeypatch.setattr(studies, "make_space", refuse)
     assert [row.n for row in tn.symmetry_truncation_study([2, 4])] == [2, 4]
 
 
@@ -141,7 +194,7 @@ def test_csv_layout():
     text = run_study(["diverge", "--beta", "0.5", "--dims", "8"])
     lines = text.strip().splitlines()
     assert lines[0] == "n,margin_c,q_norm,g_enorm"
-    assert lines[1] == "8,0.41824406338917597,1.4045962625738677,1.648592473250179"
+    assert lines[1] == "8,0.41824406338917597,1.404596262573868,1.648592473250179"
 
 
 def test_csv_appends_sorted_aux_columns():
