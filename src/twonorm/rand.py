@@ -8,8 +8,8 @@ run over run.
 import numpy as np
 import scipy.linalg as la
 
-from .space import make_space
-from .subspaces import is_proper_companion, span
+from .space import _require_positive_dim, _space_from_eigenpairs
+from .subspaces import Subspace, is_proper_companion
 
 __all__ = [
     "trial_rng",
@@ -43,21 +43,24 @@ def haar_unitary(rng, n):
 
 
 def random_pd_weight(rng, n):
-    """Random Hermitian positive definite weight with spectral norm one.
-
-    Built as ``U D U*`` with log-uniform eigenvalues in ``[1e-4, 1]``
-    rescaled so the largest is exactly one.
-    """
-    u = haar_unitary(rng, n)
-    d = np.exp(rng.uniform(np.log(WEIGHT_FLOOR), 0.0, size=n))
-    d = d / d.max()
-    a = (u * d) @ u.conj().T
-    return (a + a.conj().T) / 2.0
+    """Random Hermitian positive definite weight with spectral norm one:
+    a writable copy of the weight of :func:`random_space` drawn from the
+    same stream."""
+    return random_space(rng, n).weight.copy()
 
 
 def random_space(rng, n):
-    """Euclidean-tag space of dimension n with a :func:`random_pd_weight`."""
-    return make_space(n, random_pd_weight(rng, n), "euclid")
+    """Euclidean-tag space of dimension n with a random weight ``U D U*``.
+
+    ``U`` is a :func:`haar_unitary` and ``D`` holds log-uniform eigenvalues
+    in ``[1e-4, 1]`` rescaled so the largest is exactly one.  The space
+    keeps these eigenpairs, so no ``eigh`` recovers them; its weight equals
+    ``make_space(n, random_pd_weight(rng, n)).weight`` bit for bit.
+    """
+    _require_positive_dim(n)
+    u = haar_unitary(rng, n)
+    d = np.exp(rng.uniform(np.log(WEIGHT_FLOOR), 0.0, size=n))
+    return _space_from_eigenpairs(u, d / d.max())
 
 
 def random_operator(rng, ws):
@@ -66,13 +69,24 @@ def random_operator(rng, ws):
 
 
 def random_subspace(rng, ws, r):
-    """Span of ``r`` independent complex Gaussian vectors."""
-    return span(ws, _complex_gauss(rng, ws.dim, r))
+    """Span of ``r`` independent complex Gaussian vectors, held as the
+    unitary factor of their thin QR.
+
+    The vectors are independent with probability one, so no rank decision
+    is taken: the span is the one :func:`twonorm.subspaces.span` gives, in
+    another orthonormal basis.
+    """
+    q, _ = la.qr(_complex_gauss(rng, ws.dim, r), mode="economic")
+    return Subspace(q, ws)
 
 
 def random_companion_pair(rng, ws, r, min_gap=1e-6, attempts=100):
-    """A pair of subspaces of dimensions ``r`` and ``n - r`` splitting the
-    space with a comfortable gap, together with its complement pair."""
+    """A pair ``(s, t)`` of subspaces of dimensions ``r`` and ``n - r``
+    splitting the space with a comfortable gap.
+
+    Pairs are drawn until one passes :func:`is_proper_companion`, which
+    checks the gap of the pair and of its complement pair; the complement
+    pair is checked, not returned."""
     for _ in range(attempts):
         s = random_subspace(rng, ws, r)
         t = random_subspace(rng, ws, ws.dim - r)

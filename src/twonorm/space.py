@@ -119,10 +119,11 @@ class WeightedSpace:
     validation.  The space is the one place that knows how the weight is
     stored, and every weighted computation goes through it: ``A X`` is
     :meth:`apply_weight` and ``X* A`` is :meth:`dual`.  A dense weight is
-    factored by one ``eigh`` at construction, cached and reused.  A
-    diagonal weight, the identity included, is kept as its real diagonal
-    and applied by scaling rows or columns, with no ``eigh`` and no n x n
-    eigenvector matrix.
+    factored by one ``eigh`` at construction, cached and reused; a weight
+    drawn by :func:`twonorm.rand.random_space` keeps the eigenpairs it was
+    drawn from, with no ``eigh``.  A diagonal weight, the identity
+    included, is kept as its real diagonal and applied by scaling rows or
+    columns, with no ``eigh`` and no n x n eigenvector matrix.
 
     Parameters
     ----------
@@ -140,8 +141,8 @@ class WeightedSpace:
     dim: int
     weight: np.ndarray
     enorm: str = "euclid"
-    # eigenvalues and eigenvectors of a dense weight, sorted by eigh; a
-    # diagonal weight's diagonal, in its own order, and None
+    # eigenvalues and eigenvectors of a dense weight, in ascending order;
+    # a diagonal weight's diagonal, in its own order, and None
     _evals: np.ndarray = field(init=False, repr=False, compare=False)
     _evecs: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -287,6 +288,35 @@ def as_operator(t, ws):
     return t if isinstance(t, Operator) else Operator(t, ws)
 
 
+def _require_positive_dim(n):
+    if n <= 0:
+        raise DimMismatch(f"space dimension must be positive, got {n}")
+
+
+def _space_from_eigenpairs(u, d):
+    """Euclidean-tag space with the weight ``U diag(d) U*`` of known
+    eigenpairs, ``U`` unitary and ``d`` real with ``TOL_PD < d <= 1 +
+    TOL_CAP``.
+
+    The weight is formed once, in the order given, and symmetrized as
+    ``(A + A*) / 2``, so it is exactly Hermitian; ``d`` and ``U`` are kept
+    as its eigenpairs, sorted ascending as ``eigh`` returns them: no
+    ``eigh`` runs.  The order is not cosmetic: ``plus_matrix`` rounds with
+    it, and on unsorted eigenpairs ``(T+)+ - T`` came out about 1.4 times
+    larger than on sorted ones.  The dimension and the bounds on ``d`` are
+    what :func:`make_space` would check, and are the caller's to keep.
+    """
+    a = (u * d) @ u.conj().T
+    a = (a + a.conj().T) / 2.0
+    a.setflags(write=False)
+    order = np.argsort(d)
+    ws = object.__new__(WeightedSpace)
+    for name, value in (("dim", d.size), ("weight", a), ("enorm", "euclid"),
+                        ("_evals", d[order]), ("_evecs", u[:, order])):
+        object.__setattr__(ws, name, value)
+    return ws
+
+
 def make_space(n, weight, enorm="euclid"):
     """Validate and build a :class:`WeightedSpace`.
 
@@ -322,8 +352,7 @@ def make_space(n, weight, enorm="euclid"):
     NonIdentityWeightForTrace
         If the trace tag is used with a weight other than the identity.
     """
-    if n <= 0:
-        raise DimMismatch(f"space dimension must be positive, got {n}")
+    _require_positive_dim(n)
     if enorm not in ("euclid", "trace"):
         raise ValueError(f"unknown ambient-norm tag {enorm!r}")
     a = _as_matrix(weight, n, "weight")

@@ -82,7 +82,8 @@ class Subspace:
     :func:`principal_angles` relies on that without checking it.  Every
     constructor in the package establishes it: :func:`span` and the range
     and kernel bases of projections and of the kernel checks take singular
-    vectors, :func:`complement_L` takes the unitary factor of a QR, and
+    vectors, :func:`complement_L` and :func:`twonorm.rand.random_subspace`
+    take the unitary factor of a QR, and
     :func:`twonorm.matio.load_subspace` re-orthonormalizes what it reads.
     Build one directly only from orthonormal columns; :func:`span` accepts
     any family of vectors.

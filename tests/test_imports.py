@@ -439,10 +439,12 @@ _WEIGHT_ORACLES = {("cli.py", "_suite_adjoint")}
 
 
 def _weight_storage_readers(modules):
-    """Reads of ``_evals`` or ``_evecs``, and products (``@``, ``*``,
-    ``dot``, ``matmul``, ``multiply``, ``einsum``) with a ``.weight``
-    operand, outside ``space.py``, which alone knows how the weight is
-    stored, and outside the functions of ``_WEIGHT_ORACLES``."""
+    """Reads of ``_evals`` or ``_evecs``, writes to them by name through
+    ``setattr`` or ``object.__setattr__``, ``WeightedSpace(...)`` calls and
+    products (``@``, ``*``, ``dot``, ``matmul``, ``multiply``, ``einsum``)
+    with a ``.weight`` operand, outside ``space.py``, which alone knows how
+    the weight is stored, and outside the functions of
+    ``_WEIGHT_ORACLES``."""
     hits = []
     for path in modules:
         if path.name == "space.py":
@@ -456,6 +458,13 @@ def _weight_storage_readers(modules):
         def is_weight(node):
             return isinstance(node, ast.Attribute) and node.attr == "weight"
 
+        def name_of(node):
+            return getattr(node, "attr", getattr(node, "id", None))
+
+        def storage_name(node):
+            return isinstance(node, ast.Constant) \
+                and node.value in ("_evals", "_evecs")
+
         for node in ast.walk(tree):
             if id(node) in exempt:
                 continue
@@ -466,11 +475,16 @@ def _weight_storage_readers(modules):
                     and isinstance(node.op, (ast.MatMult, ast.Mult)) \
                     and (is_weight(node.left) or is_weight(node.right)):
                 hits.append(f"{path.name}:{node.lineno} weight product")
-            elif isinstance(node, ast.Call) and getattr(
-                    node.func, "attr", getattr(node.func, "id", None)) in (
-                    "dot", "matmul", "multiply", "einsum") \
-                    and any(map(is_weight, node.args)):
-                hits.append(f"{path.name}:{node.lineno} weight product")
+            elif isinstance(node, ast.Call):
+                called = name_of(node.func)
+                if called in ("dot", "matmul", "multiply", "einsum") \
+                        and any(map(is_weight, node.args)):
+                    hits.append(f"{path.name}:{node.lineno} weight product")
+                elif called in ("setattr", "__setattr__") \
+                        and any(map(storage_name, node.args)):
+                    hits.append(f"{path.name}:{node.lineno} storage write")
+                elif called == "WeightedSpace":
+                    hits.append(f"{path.name}:{node.lineno} WeightedSpace")
     return sorted(hits)
 
 
@@ -495,8 +509,16 @@ def test_weight_storage_reader_is_reported(tmp_path):
                  "    cond = ws._evals[-1]\n"
                  "    y = x.conj().T @ ws.weight @ x\n"
                  "    z = np.dot(ws.weight, x) + 2.0 * ws.weight\n"
-                 "    return ws.weight.shape, ws.dual(x), ws._evecs\n")
+                 "    return ws.weight.shape, ws.dual(x), ws._evecs\n\n\n"
+                 "def g(n, a, d, u):\n"
+                 "    ws = space.WeightedSpace(n, a)\n"
+                 "    object.__setattr__(ws, '_evals', d)\n"
+                 "    setattr(ws, '_evecs', u)\n"
+                 "    object.__setattr__(ws, 'weight', a)\n"
+                 "    return WeightedSpace(n, a, 'euclid')\n")
     assert _weight_storage_readers([space, cli, a]) == [
+        "a.py:12 WeightedSpace", "a.py:13 storage write",
+        "a.py:14 storage write", "a.py:16 WeightedSpace",
         "a.py:5 _evals", "a.py:6 weight product", "a.py:7 weight product",
         "a.py:7 weight product", "a.py:8 _evecs",
         "cli.py:6 weight product"]
