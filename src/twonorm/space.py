@@ -18,7 +18,7 @@ norm ``|T|_E + |T+|_E`` and the classical bound of the weighted extension
 norm by ``min(|T+T|_E, |TT+|_E)`` all live here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -115,49 +115,37 @@ def _require(residual, tol, what, error=ArithmeticError):
 class WeightedSpace:
     """C^n with an ambient-norm tag and a Hermitian positive definite weight.
 
-    Instances are immutable; use :func:`make_space` to construct one with
-    validation.  The space is the one place that knows how the weight is
-    stored, and every weighted computation goes through it: ``A X`` is
-    :meth:`apply_weight` and ``X* A`` is :meth:`dual`.  A dense weight is
-    factored by one ``eigh`` at construction, cached and reused; a weight
-    drawn by :func:`twonorm.rand.random_space` keeps the eigenpairs it was
-    drawn from, with no ``eigh``.  A diagonal weight, the identity
-    included, is kept as its real diagonal and applied by scaling rows or
-    columns, with no ``eigh`` and no n x n eigenvector matrix.
+    Instances are immutable records of a weight and its factors, taken as
+    given: :func:`make_space` factors a weight that comes from outside
+    once and validates it, and :func:`twonorm.rand.random_space` passes the
+    factors its weight was drawn from.  The space is the one place that
+    knows how the weight is stored, and every weighted computation goes
+    through it: ``A X`` is :meth:`apply_weight` and ``X* A`` is
+    :meth:`dual`.  A diagonal weight, the identity included, is kept as its
+    real diagonal and applied by scaling rows or columns, with no n x n
+    eigenvector matrix.
 
     Parameters
     ----------
     dim : int
         Dimension n of the space.
     weight : (n, n) ndarray
-        Hermitian positive definite weight of the inner product.
+        Hermitian positive definite weight of the inner product, read-only.
     enorm : {"euclid", "trace"}
         Ambient-norm tag.  ``"trace"`` requires ``dim`` to be a perfect
         square k^2 and the weight to be the identity; vectors are then read
         as column-stacked k x k matrices and the ambient norm is the trace
         norm.
+    _evals, _evecs : ndarray, ndarray or None
+        Eigenvalues and eigenvectors of a dense weight, in ascending order;
+        a diagonal weight's diagonal, in its own order, and None.
     """
 
     dim: int
     weight: np.ndarray
-    enorm: str = "euclid"
-    # eigenvalues and eigenvectors of a dense weight, in ascending order;
-    # a diagonal weight's diagonal, in its own order, and None
-    _evals: np.ndarray = field(init=False, repr=False, compare=False)
-    _evecs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        w = np.array(self.weight, dtype=complex)
-        w.setflags(write=False)
-        object.__setattr__(self, "weight", w)
-        # Counting nonzeros tells a diagonal weight from a dense one.
-        d = w.diagonal().real.copy()
-        if np.count_nonzero(w) == np.count_nonzero(d):
-            evals, evecs = d, None
-        else:
-            evals, evecs = la.eigh(w)
-        object.__setattr__(self, "_evals", evals)
-        object.__setattr__(self, "_evecs", evecs)
+    enorm: str
+    _evals: np.ndarray
+    _evecs: np.ndarray | None
 
     @property
     def block_dim(self):
@@ -299,31 +287,30 @@ def _space_from_eigenpairs(u, d):
     TOL_CAP``.
 
     The weight is formed once, in the order given, and symmetrized as
-    ``(A + A*) / 2``, so it is exactly Hermitian; ``d`` and ``U`` are kept
-    as its eigenpairs, sorted ascending as ``eigh`` returns them: no
-    ``eigh`` runs.  The order is not cosmetic: ``plus_matrix`` rounds with
-    it, and on unsorted eigenpairs ``(T+)+ - T`` came out about 1.4 times
-    larger than on sorted ones.  The dimension and the bounds on ``d`` are
-    what :func:`make_space` would check, and are the caller's to keep.
+    ``(A + A*) / 2``, so it is exactly Hermitian; the constructor takes
+    ``d`` and ``U`` as its factors, sorted ascending as ``eigh`` returns
+    them: no ``eigh`` runs.  The order is not cosmetic: ``plus_matrix``
+    rounds with it, and on unsorted eigenpairs ``(T+)+ - T`` came out about
+    1.4 times larger than on sorted ones.  The dimension and the bounds on
+    ``d`` are what :func:`make_space` would check, and are the caller's to
+    keep.
     """
     a = (u * d) @ u.conj().T
     a = (a + a.conj().T) / 2.0
     a.setflags(write=False)
     order = np.argsort(d)
-    ws = object.__new__(WeightedSpace)
-    for name, value in (("dim", d.size), ("weight", a), ("enorm", "euclid"),
-                        ("_evals", d[order]), ("_evecs", u[:, order])):
-        object.__setattr__(ws, name, value)
-    return ws
+    return WeightedSpace(d.size, a, "euclid", d[order], u[:, order])
 
 
 def make_space(n, weight, enorm="euclid"):
-    """Validate and build a :class:`WeightedSpace`.
+    """Validate, factor and build a :class:`WeightedSpace`.
 
-    A finite weight is Hermitian-symmetrized as ``(A + A*) / 2`` before
-    the other checks run.  They read the smallest and largest eigenvalue
-    from what the space keeps, so a dense weight is factored once and a
-    diagonal one, whose eigenvalues are its diagonal, not at all.
+    A finite weight is Hermitian-symmetrized as ``(A + A*) / 2`` into the
+    one array the space keeps, marked read-only.  It is factored once: a
+    diagonal weight's eigenvalues are its diagonal, with no ``eigh``, and a
+    dense one takes one ``eigh``.  The checks read the smallest and largest
+    eigenvalue from those factors before the space is built, so no invalid
+    space exists.
 
     Parameters
     ----------
@@ -359,8 +346,14 @@ def make_space(n, weight, enorm="euclid"):
     if not np.isfinite(a).all():
         raise ValueError("weight must have finite entries")
     a = (a + a.conj().T) / 2.0
-    ws = WeightedSpace(n, a, enorm)
-    low, high = ws._evals.min(), ws._evals.max()
+    a.setflags(write=False)
+    # Counting nonzeros tells a diagonal weight from a dense one.
+    d = a.diagonal().real.copy()
+    if np.count_nonzero(a) == np.count_nonzero(d):
+        evals, evecs = d, None
+    else:
+        evals, evecs = la.eigh(a)
+    low, high = evals.min(), evals.max()
     if low <= TOL_PD:
         raise NotPositiveDefinite(
             f"weight has eigenvalue {low:.3e} at or below {TOL_PD:.0e}"
@@ -376,13 +369,13 @@ def make_space(n, weight, enorm="euclid"):
             raise DimMismatch(
                 f"trace tag needs a perfect-square dimension, got {n}"
             )
-        dev = np.abs(ws._evals - 1.0).max() if ws._evecs is None \
+        dev = np.abs(evals - 1.0).max() if evecs is None \
             else np.abs(a - np.eye(n)).max()
         if dev > TOL_HERM:
             raise NonIdentityWeightForTrace(
                 "trace-tag spaces require the identity weight"
             )
-    return ws
+    return WeightedSpace(n, a, enorm, evals, evecs)
 
 
 def plus_adjoint(ws, t):

@@ -190,6 +190,18 @@ def test_demo_two_companions_runs():
     assert payload["transported_pair_margin"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_demo_two_companions_accepts_an_ill_conditioned_invertible_z():
+    """``z = diag(1, 1e-11)`` passes the demo's invertibility check, so both
+    verdicts hold: a rank cut relative to ``|z|_2`` at ``1e-10`` would drop
+    its second direction and report neither."""
+    code, out = run_cli(["demo", "two_companions", "--z", "diag:1,1e-11",
+                         "--t", "diag:1,-1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["fixed_kernel"] is True
+    assert payload["transported_to_block_range"] is True
+
+
 def test_demo_sylvester_solves_disjoint_spectra():
     code, out = run_cli(
         ["demo", "sylvester", "--c", "diag:1,2", "--d", "diag:3,4", "--w", "scalar:1",

@@ -5,7 +5,9 @@ cross-check that raises on a spectral norm goes through ``space._require``,
 no statement throws away the value of a package function that returns one,
 no public name is declared by two modules, only ``matio`` imports
 ``json``, only ``cli`` imports ``matio``, only ``space`` knows how the
-weight is stored, and the command line starts without ``scipy.sparse``."""
+weight is stored, no instance is made past its constructor with
+``object.__new__``, and the command line starts without
+``scipy.sparse``."""
 
 import ast
 import re
@@ -522,6 +524,37 @@ def test_weight_storage_reader_is_reported(tmp_path):
         "a.py:5 _evals", "a.py:6 weight product", "a.py:7 weight product",
         "a.py:7 weight product", "a.py:8 _evecs",
         "cli.py:6 weight product"]
+
+
+def _constructor_bypasses(modules):
+    """Calls of ``object.__new__``, which make an instance without running
+    its class's constructor: every value is built by the constructor from
+    the fields that fix it."""
+    return sorted(
+        f"{path.name}:{node.lineno} object.__new__"
+        for path in modules for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object")
+
+
+def test_no_instance_bypasses_its_constructor():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _constructor_bypasses(modules) == []
+
+
+def test_constructor_bypass_is_reported(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("def f(cls, n):\n"
+                 "    ws = object.__new__(cls)\n"
+                 "    ok = cls.__new__(cls)\n"
+                 "    return super().__new__(cls), object(), ws, ok\n\n\n"
+                 "def g():\n    return [object.__new__(int) for _ in 'ab']\n")
+    assert _constructor_bypasses([a]) == ["a.py:2 object.__new__",
+                                          "a.py:8 object.__new__"]
 
 
 def test_cli_import_leaves_out_scipy_sparse():

@@ -563,8 +563,9 @@ def test_identity_plus_matrix_allocates_a_few_copies():
 
 
 def _dense_transport_verdicts(q, q_t, x):
-    """Oracle for :func:`schatten._transport_verdicts`: range and kernel of
-    the flattened ``y -> q y q``, moved by the flattened ``y -> y x``."""
+    """Oracle for the verdicts of :func:`tn.two_companions_demo`: range and
+    kernel of the flattened ``y -> q y q``, moved by the flattened ``y -> y
+    x``."""
     model = tn.matrix_space(q.shape[0])
     rng_sub, ker_sub = _range_kernel(
         model.ws, tn.two_sided_mult(model, q, q).matrix, _idempotent_cut)[1:]
@@ -579,28 +580,22 @@ def _dense_transport_verdicts(q, q_t, x):
 
 
 def test_two_companions_verdicts_match_the_kronecker_oracle():
-    """Block-diagonal ``x`` fixes the kernel and reaches the target range;
-    a coupling block above the diagonal keeps the kernel only, one below
-    it keeps neither, and so does a dense ``x``."""
-    seen = set()
+    """On valid draws, ``z`` normal and invertible with a positive pair
+    margin and ``t`` a self-adjoint involution, the verdicts the demo
+    states are those the Kronecker oracle computes on ``diag(z, t)``."""
     for trial in range(12):
         rng = rand.trial_rng(63, trial)
         k = 1 + trial % 3
-        z = rand._complex_gauss(rng, k, k)
-        t = rand._complex_gauss(rng, k, k)
-        w = rand._complex_gauss(rng, k, k)
-        zero = np.zeros((k, k))
-        q, q_t = tn.block_idempotent(z), tn.block_idempotent(t)
-        for x, expect in (
-            (la.block_diag(z, t), (True, True)),
-            (np.block([[z, w], [zero, t]]), (True, False)),
-            (np.block([[z, zero], [w, t]]), (False, False)),
-            (rand._complex_gauss(rng, 2 * k, 2 * k), (False, False)),
-        ):
-            got = schatten._transport_verdicts(q, q_t, x)
-            assert got == _dense_transport_verdicts(q, q_t, x) == expect
-            seen.add(got)
-    assert len(seen) == 3
+        z = rotated_normal(rng, k)
+        u = rand.haar_unitary(rng, k)
+        t = (u * rng.choice([-1.0, 1.0], size=k)) @ u.conj().T
+        t = (t + t.conj().T) / 2.0
+        rep = tn.two_companions_demo(tn.matrix_space(2 * k), z, t)
+        got = (rep.fixed_kernel, rep.transported_to_block_range)
+        oracle = _dense_transport_verdicts(
+            tn.block_idempotent(z), tn.block_idempotent(t),
+            la.block_diag(z, t))
+        assert got == oracle == (True, True)
 
 
 def test_demos_reject_non_square_blocks_before_the_model_size():

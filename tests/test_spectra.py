@@ -106,8 +106,10 @@ def test_spectrum_tags_and_check_residual_property(seed, n):
     rng = rand.trial_rng(seed, 0)
     ws = rand.random_space(rng, n)
     _assert_one_spectrum(ws, rand.random_operator(rng, ws))
-    # the suite draws the same space and operator from the same stream
-    residual = cli._suite_spectra(rand.trial_rng(seed, 0), n)
+    # the check draws the same space from the same stream, and the suite
+    # the same operator after it
+    rng = rand.trial_rng(seed, 0)
+    residual = cli._suite_spectra(rng, rand.random_space(rng, n))
     assert residual <= 16 * n * np.finfo(float).eps
 
 
