@@ -99,10 +99,20 @@ class CqReport:
     """Side-by-side margins for the block-idempotent range subspace.
 
     ``margin_direct`` and ``q_norm`` (the trace norm of the canonical
-    projection) are exactly 1 (:func:`_cq_margins`);
-    ``pair_margin`` and ``op_margin`` come from the eigenvalue criterion on
-    the conjugation map.  The two families answer different questions and
-    are reported together without any cross-assertion.
+    projection) are exactly 1, by a proof; ``pair_margin`` and
+    ``op_margin`` come from the eigenvalue criterion on the conjugation
+    map.  The two families answer different questions and are reported
+    together without any cross-assertion.
+
+    Let ``M: x -> q x q`` in Frobenius coordinates, ``q`` the block
+    idempotent built from ``z``.  ``C = M + M* - I`` squares to
+    ``I + (M - M*)(M - M*)*`` since ``M`` is idempotent, so its singular
+    values are at least 1 (Halmos, Trans. AMS 144, 1969), and ``C = -I`` on
+    ``ker M`` meet ``ker M*``, of dimension at least ``2k^2``:
+    ``margin_direct = 1``.  The range of ``M`` is ``{x : col(x) <= col(q),
+    row(x) <= row(q)}``, so the canonical (Frobenius-orthogonal) projection
+    onto it is ``x -> E x F`` with ``E``, ``F`` orthogonal projections:
+    ``q_norm``, its trace-norm operator norm, is 1.
     """
 
     k: int
@@ -168,9 +178,7 @@ def sandwich(model, z):
 
 def block_idempotent(z):
     """The 2k x 2k idempotent ``[[I, z], [0, 0]]`` built from a k x k block."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise DimMismatch(f"block must be square, got shape {z.shape}")
+    z = _as_matrix(z, None, "block")
     k = z.shape[0]
     top = np.hstack([np.eye(k), z])
     bottom = np.zeros((k, 2 * k), dtype=complex)
@@ -304,50 +312,34 @@ def sylvester(c, d, w, force=False):
     return SylvesterResult(True, x, margin, residual)
 
 
-def _cq_margins(z):
-    """``(margin_c, |M|_2, q_norm)`` for ``M: x -> q x q`` in Frobenius
-    coordinates, ``q`` the block idempotent built from ``z``.
-
-    ``C = M + M* - I`` squares to ``I + (M - M*)(M - M*)*`` since ``M`` is
-    idempotent, so its singular values are at least 1 (Halmos, Trans. AMS
-    144, 1969), and ``C = -I`` on ``ker M`` meet ``ker M*``, of dimension
-    at least ``2k^2``: ``margin_c = 1``.  ``M = q^T (x) q`` and
-    ``q q* = diag(I + z z*, 0)``, so ``|M|_2 = 1 + |z|_2^2``.  The range
-    of ``M`` is ``{x : col(x) <= col(q), row(x) <= row(q)}``, so the
-    canonical (Frobenius-orthogonal) projection onto it is ``x -> E x F``
-    with ``E``, ``F`` orthogonal projections: ``q_norm``, its trace-norm
-    operator norm, is 1.
-    """
-    return 1.0, 1.0 + _spec_norm(np.asarray(z)) ** 2, 1.0
-
-
 def cq_compat_demo(model, z):
     """Margins for the range of two-sided multiplication by the block
     idempotent built from ``z``.
 
     ``model`` must be the matrix space of side ``2k`` for a k x k ``z``.
-    The direct margin is the compatibility margin of the range against the
-    kernel (exactly 1, see :func:`_cq_margins`); the criterion margins come
-    from the eigenvalue test on the conjugation map.  Both are reported; no
-    equality between the families is asserted.
+    The direct margin, the compatibility margin of the range against the
+    kernel, and the trace norm of the canonical projection are exactly 1
+    by the proof in :class:`CqReport`, so both are stated, not computed;
+    the criterion margins come from the eigenvalue test on the conjugation
+    map.  Both are reported; no equality between the families is asserted.
 
     Returns
     -------
     CqReport
     """
-    k = block_idempotent(z).shape[0] // 2
+    z = _as_matrix(z, None, "block")
+    k = z.shape[0]
     if model.k != 2 * k:
         raise DimMismatch(
             f"model side {model.k} does not match block side {k}"
         )
-    margin, _, q_norm = _cq_margins(z)
     crit = z_criterion_margin(z)
     return CqReport(
         k=k,
         pair_margin=crit.pair_margin,
         op_margin=crit.op_margin,
-        margin_direct=margin,
-        q_norm=q_norm,
+        margin_direct=1.0,
+        q_norm=1.0,
     )
 
 
@@ -375,13 +367,12 @@ def two_companions_demo(model, z, t):
     -------
     TwoCompanionsReport
     """
-    q = block_idempotent(z)
-    k = q.shape[0] // 2
+    z = _as_matrix(z, None, "block")
+    k = z.shape[0]
     if model.k != 2 * k:
         raise DimMismatch(
             f"model side {model.k} does not match block side {k}"
         )
-    z = np.asarray(z, dtype=complex)
     t = _as_matrix(t, k, "t")
     sv = la.svdvals(z)
     _require(z @ z.conj().T - z.conj().T @ z,

@@ -13,6 +13,8 @@ import twonorm.cli as cli
 import twonorm.errors as errors
 import twonorm.matio as matio
 
+from conftest import count_calls
+
 
 def run_cli(args):
     buf = io.StringIO()
@@ -149,6 +151,18 @@ def test_demo_finite_rank_runs():
     payload = json.loads(out)
     assert payload["rank"] == 2
     assert payload["idempotency_res"] <= 1e-8
+
+
+@pytest.mark.parametrize("tol, code, norms", [([], 0, 2), (["--tol", "0"], 1, 3)])
+def test_demo_finite_rank_takes_the_norm_of_q_only_past_the_bare_tolerance(
+        tol, code, norms, monkeypatch):
+    """The verdict scale max(1, |q|)^2 max(1, cond A) is at least 1, so a
+    residual within ``--tol`` passes without it: at the default ``--tol``
+    the report's two residuals are the only spectral norms the command
+    takes, and ``|q|_2`` is a third only when the bare test fails."""
+    calls = count_calls(monkeypatch, {cli: ["_spec_norm"]})
+    assert run_cli(["demo", "finite_rank", *tol])[0] == code
+    assert calls == {"twonorm.cli._spec_norm": norms}
 
 
 @pytest.mark.parametrize("sizes, message", [

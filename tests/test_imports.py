@@ -4,8 +4,8 @@ and every UPPER_CASE module constant is read by some module of it, every
 cross-check that raises on a spectral norm goes through ``space._require``,
 no statement throws away the value of a package function that returns one,
 no public name is declared by two modules, only ``matio`` imports
-``json``, only ``cli`` imports ``matio``, only ``space`` knows how the
-weight is stored, no instance is made past its constructor with
+``json``, only ``cli`` imports ``matio``, ``studies`` imports no package
+module but ``errors``, only ``space`` knows how the weight is stored, no instance is made past its constructor with
 ``object.__new__``, and the command line starts without
 ``scipy.sparse``."""
 
@@ -433,6 +433,50 @@ def test_matio_import_outside_cli_is_reported(tmp_path):
                                              "a.py:6 matio",
                                              "b.py:1 twonorm.matio"]
 
+
+def _package_imports(path, allowed):
+    """Package modules that ``path`` imports, at any depth and in any form
+    (``from .m import x``, ``from . import m``, ``import twonorm.m``,
+    ``from twonorm import m``), other than those named in ``allowed``; a
+    bare ``import twonorm`` names the package itself."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"twonorm.{module}".rstrip(".")
+            dotted = [module] if module != "twonorm" \
+                else [f"twonorm.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in dotted:
+            parts = name.split(".")
+            module = parts[1] if len(parts) > 1 else parts[0]
+            if parts[0] == "twonorm" and module not in allowed:
+                hits.append(f"{path.name}:{node.lineno} {module}")
+    return sorted(hits)
+
+
+def test_studies_imports_only_errors_from_the_package():
+    """Every study row comes from a closed form or a proof, so the studies
+    need none of the package's numerics."""
+    assert _package_imports(PACKAGE / "studies.py", {"errors"}) == []
+
+
+def test_package_import_beyond_errors_is_reported(tmp_path):
+    studies = tmp_path / "studies.py"
+    studies.write_text("import math\nimport twonorm\n"
+                       "from .errors import BadExponent\n"
+                       "from . import errors, space\n"
+                       "from .schatten import z_criterion_margin\n\n\n"
+                       "def f():\n    import twonorm.compat\n"
+                       "    from twonorm import rand\n"
+                       "    from twonorm.errors import DimMismatch\n")
+    assert _package_imports(studies, {"errors"}) == [
+        "studies.py:10 rand", "studies.py:2 twonorm", "studies.py:4 space",
+        "studies.py:5 schatten", "studies.py:9 compat"]
 
 
 # the one function outside ``space.py`` that may multiply by ``.weight``:

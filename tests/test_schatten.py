@@ -457,12 +457,11 @@ def test_cq_demo_rejects_wrong_model_size():
 
 def test_cq_demo_margins_are_exact_against_the_kronecker_oracle():
     """``margin_direct`` and ``q_norm`` are exactly 1.  The dense
-    ``M: x -> q x q`` confirms the closed forms: the smallest singular value
-    of ``C = M + M* - I`` is 1 and the largest of ``M`` is ``1 + |z|^2``,
-    within ``32 u (1 + |z|^2)`` (an SVD's backward error at that norm), and
-    the orthogonal projection onto the range of ``M`` is ``x -> E x F``
-    with ``E``, ``F`` the orthogonal projections onto ``col(q)`` and
-    ``row(q)``, of trace norm 1."""
+    ``M: x -> q x q`` confirms the proof: the smallest singular value of
+    ``C = M + M* - I`` is 1, within ``32 u (1 + |z|^2)`` (an SVD's backward
+    error at the norm of ``M``), and the orthogonal projection onto the
+    range of ``M`` is ``x -> E x F`` with ``E``, ``F`` the orthogonal
+    projections onto ``col(q)`` and ``row(q)``, of trace norm 1."""
     u = np.finfo(float).eps
     for trial in range(12):
         rng = rand.trial_rng(62, trial)
@@ -470,13 +469,11 @@ def test_cq_demo_margins_are_exact_against_the_kronecker_oracle():
         z = rand._complex_gauss(rng, k, k) * 10.0 ** (trial % 3 - 1)
         rep = tn.cq_compat_demo(tn.matrix_space(2 * k), z)
         assert (rep.margin_direct, rep.q_norm) == (1.0, 1.0)
-        assert schatten._cq_margins(z)[::2] == (1.0, 1.0)
         q = tn.block_idempotent(z)
         m = np.kron(q.T, q)
         c = m + m.conj().T - np.eye(m.shape[0])
         bound = 32 * u * (1.0 + _spec_norm(z) ** 2)
         assert abs(la.svdvals(c)[-1] - 1.0) <= bound
-        assert abs(la.svdvals(m)[0] - schatten._cq_margins(z)[1]) <= bound
         basis = la.orth(m)
         assert basis.shape[1] == k * k
         pinv = np.linalg.pinv(q)
@@ -495,9 +492,10 @@ def test_cq_demo_is_exact_and_quiet_at_large_coupling(scale):
 
 
 def test_matrix_space_demos_build_no_block_superoperator(monkeypatch):
-    """The cq and two_companions demos and the symmetry study read k x k
-    and 2k x 2k matrices: no Kronecker product has a factor of the block
-    side 2k, and the model's flattened weight is never built."""
+    """The cq and two_companions demos read k x k matrices only: no
+    Kronecker product has a factor of the block side 2k, the 2k x 2k block
+    idempotent is never built and neither is the model's flattened weight.
+    The symmetry study takes no Kronecker product at all."""
     factors = []
     kron = np.kron
 
@@ -505,7 +503,11 @@ def test_matrix_space_demos_build_no_block_superoperator(monkeypatch):
         factors.extend([np.shape(a), np.shape(b)])
         return kron(a, b)
 
+    def refuse(z):
+        raise AssertionError("a block idempotent was built")
+
     monkeypatch.setattr(np, "kron", recorded)
+    monkeypatch.setattr(schatten, "block_idempotent", refuse)
     k = 3
     model = tn.matrix_space(2 * k)
     z = rotated_normal(rand.trial_rng(44, 2), k)
@@ -516,7 +518,7 @@ def test_matrix_space_demos_build_no_block_superoperator(monkeypatch):
     assert set(factors) == {(k, k)}
     factors.clear()
     tn.symmetry_truncation_study([4, 6])
-    assert set(factors) == {(4, 4), (6, 6)}
+    assert factors == []
 
 
 def test_matrix_space_builds_its_weight_on_first_access():

@@ -164,22 +164,55 @@ def test_symmetry_study_builds_no_matrix_space(monkeypatch):
 
 
 def test_symmetry_margin_against_matrix_unit_oracle():
-    """Rebuild the compatibility operator entrywise and compare extremes."""
-    k = 2
-    z = np.diag([1.0, -1.0])
-    q = tn.block_idempotent(z)
-    kk = 2 * k
-    n = kk * kk
-    cmat = np.zeros((n, n), dtype=complex)
-    for col in range(n):
-        x = np.zeros((kk, kk), dtype=complex)
-        x[col % kk, col // kk] = 1.0
-        out = q @ x @ q + q.conj().T @ x @ q.conj().T - x
-        cmat[:, col] = out.reshape(-1, order="F")
-    sv = np.linalg.svd(cmat, compute_uv=False)
-    row = tn.symmetry_truncation_study([k])[0]
-    assert row.margin_c == pytest.approx(sv[-1], abs=1e-9)
-    assert row.q_norm == pytest.approx(sv[0], abs=1e-9)
+    """The route the study replaced, kept as its oracle.  The criterion
+    margins are those of :func:`tn.z_criterion_margin` on the symmetry
+    ``z``, bit for bit; ``M: x -> q x q`` is rebuilt entrywise from the
+    matrix units, and ``margin_c``, ``q_norm`` and ``min_symmetric`` are the
+    smallest singular value of ``C = M + M* - I``, the largest of ``M`` and
+    the smallest eigenvalue modulus of ``v + v*`` for ``v = 2M - I``, within
+    ``32 u |M|_2`` (an SVD's or eigensolve's backward error at that
+    norm)."""
+    for k in (2, 4, 6, 8):
+        z = np.diag(np.concatenate([np.ones(k // 2), -np.ones(k // 2)]))
+        q = tn.block_idempotent(z)
+        kk = 2 * k
+        n = kk * kk
+        m = np.zeros((n, n), dtype=complex)
+        for col in range(n):
+            x = np.zeros((kk, kk), dtype=complex)
+            x[col % kk, col // kk] = 1.0
+            m[:, col] = (q @ x @ q).reshape(-1, order="F")
+        eye = np.eye(n)
+        v = 2.0 * m - eye
+        m_norm = la.svdvals(m)[0]
+        row = tn.symmetry_truncation_study([k])[0]
+        crit = tn.z_criterion_margin(z)
+        assert row.aux["pair_margin"] == crit.pair_margin
+        assert row.aux["op_margin"] == crit.op_margin
+        bound = 32 * np.finfo(float).eps * m_norm
+        assert abs(row.q_norm - m_norm) <= bound
+        assert abs(row.margin_c - la.svdvals(m + m.conj().T - eye)[-1]) \
+            <= bound
+        assert abs(row.aux["min_symmetric"]
+                   - np.abs(la.eigvalsh(v + v.conj().T)).min()) <= bound
+
+
+def test_symmetry_study_reaches_any_even_size_in_constant_memory():
+    """A row at k = 2^20 is the k = 2 row; the dense map there would have
+    2^40 entries."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        big = tn.symmetry_truncation_study([2 ** 20])[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    small = tn.symmetry_truncation_study([2])[0]
+    assert peak - base <= 64 * 1024
+    assert big.n == 2 ** 20
+    assert (big.margin_c, big.q_norm, big.aux) == \
+        (small.margin_c, small.q_norm, small.aux)
+    assert math.isnan(big.g_enorm) and math.isnan(small.g_enorm)
 
 
 def run_study(argv):
