@@ -9,16 +9,23 @@ similar to ``T*``, so ``conj sigma(T+) = sigma(T)`` with multiplicities and
 the union adds nothing.  Every tag therefore reads the operator's one
 ambient eigensolve.
 
-Riesz projections are evaluated as trapezoid sums of the resolvent over a
-circle, all read from one complex Schur form ``T = Z R Z*``: the guards and
-the rank read the eigenvalues from the diagonal of ``R``, and each
-resolvent ``Z (z - R)^{-1} Z*`` is a triangular inverse.  The node set is
-symmetric under reflection in the horizontal line through the centre and
-``T+ = A^{-1} Z R* Z* A``, so the contour sum for the plus-adjoint operator
-around the conjugated centre is built from the same triangular inverses,
-and equals the plus-adjoint of the computed projection in exact arithmetic.
-The reported ``plus_res`` compares the two, so it measures the rounding
-of the ``A^{-1} . A`` similarity, not a second quadrature.
+Riesz projections are trapezoid sums of the resolvent over a circle, read
+from one complex Schur form ``T = Z R Z*`` ordered so that the eigenvalues
+inside the contour come first.  The ``m`` nodes sit at the ``m``-th roots
+of unity on ``|x - lam| = eps``, so the sum is exactly the rational
+function ``f_m(x) = 1 / (1 - y^m)`` of ``y = (x - lam) / eps``, and
+``f_m(R)`` is evaluated block by block (block Parlett; Higham, Functions of
+Matrices, SIAM 2008, ch. 4 and 9): ``(I - Y11^m)^{-1}`` on the inside block,
+``-W^m (I - W^m)^{-1}`` with ``W = Y22^{-1}`` on the outside block, and the
+coupling block from one Sylvester solve.  Powers are taken by repeated
+squaring, so the work does not grow with ``m``.  The guards and the rank
+read the eigenvalues from the diagonal of ``R``.  ``f_m`` has real
+coefficients and ``T+ = A^{-1} Z R* Z* A``, so the contour sum for the
+plus-adjoint operator around the conjugated centre is ``A^{-1} Z S* Z* A``
+for the same ``S = f_m(R)``, and equals the plus-adjoint of the computed
+projection in exact arithmetic.  The reported ``plus_res`` compares the
+two, so it measures the rounding of the ``A^{-1} . A`` similarity, not a
+second quadrature.
 """
 
 from dataclasses import dataclass
@@ -52,11 +59,17 @@ class SpectrumReport:
 @dataclass(frozen=True)
 class RieszDiagnostics:
     """Quadrature quality figures for one contour-sum projection, and its
-    exact rank, the count of Schur eigenvalues inside the contour."""
+    exact rank, the count of Schur eigenvalues inside the contour.
+
+    ``quadrature_err`` is ``|S - E|_F`` in Schur coordinates, ``S`` the
+    contour sum and ``E`` the exact spectral projector; it bounds
+    ``|Q - P|_2`` up to the rounding of the Schur form and the Sylvester
+    solve."""
 
     idempotency_res: float
     plus_res: float
     range_dim: int
+    quadrature_err: float
 
 
 @dataclass(frozen=True)
@@ -109,17 +122,31 @@ def riesz_projection(ws, t, lam, eps, m=64):
     every spectral point must keep a distance of at least ``eps / 2`` from
     the contour itself.
 
-    Everything is read from one complex Schur form ``T = Z R Z*``.  The
-    preconditions read the eigenvalues from the diagonal of ``R``; each is
-    within ``eps / 2`` of ``lam`` or at least ``2 eps`` away, so the count
-    inside the circle is the rank.  The projection is ``Q = Z S Z*``,
-    ``S = (eps / m) sum_j e^{i theta_j} (z_j - R)^{-1}``, each resolvent a
-    triangular inverse; the ``ContourTooClose`` guard keeps every node at
-    least ``eps / 2`` from each diagonal entry of ``R``, so none is
-    singular.  ``T+ = A^{-1} Z R* Z* A``, and the node set is closed under
-    conjugation about the centre, so the contour sum for ``T+`` around the
-    conjugated centre is ``A^{-1} Z S* Z* A``: it reuses ``S`` and ``T+``
-    is never formed.
+    With ``y = (x - lam) / eps`` the contour sum is ``f_m(T)``,
+    ``f_m(x) = 1 / (1 - y^m)``, since the nodes sit at the ``m``-th roots of
+    unity.  It is evaluated on one complex Schur form
+    ``T = Z [[R11, R12], [0, R22]] Z*`` whose ``k`` leading eigenvalues are
+    those inside the circle.  The preconditions read the eigenvalues from
+    the diagonal of ``R``; each is within ``eps / 2`` of ``lam`` or at least
+    ``2 eps`` away, so ``k`` is the rank.  The projection is
+    ``Q = Z S Z*`` with ``S = [[F11, F12], [0, F22]]``:
+
+    * ``F11 = (I - Y11^m)^{-1}``, ``Y11 = (R11 - lam I) / eps``;
+    * ``F22 = -W^m (I - W^m)^{-1}``, ``W = Y22^{-1}``.  The guards keep
+      every outside ``|y|`` at least 2, so ``|w| <= 1/2``; ``(I - Y^m)^{-1}``
+      on the whole of ``R`` would raise outside eigenvalues to ``|y|^m``;
+    * ``F12 = F11 X - X F22``, where ``R11 X - X R22 = R12`` is one
+      triangular Sylvester solve: ``R = V diag(R11, R22) V^{-1}`` with
+      ``V = [[I, -X], [0, I]]``, and ``f_m`` maps it block by block.
+
+    The powers take about ``2 log2(m)`` products of triangular matrices,
+    and one triangular inverse of ``diag(I - Y11^m, I - W^m)`` gives both
+    inverses.  The exact projector is ``Z E Z*`` with
+    ``E = [[I, X], [0, 0]]``, and ``quadrature_err = |S - E|_F`` bounds
+    ``|Q - P|_2``.  ``T+ = A^{-1} Z R* Z* A`` and ``f_m`` has real
+    coefficients, so the contour sum for ``T+`` around the conjugated
+    centre is ``A^{-1} Z S* Z* A``: it reuses ``S`` and ``T+`` is never
+    formed.
 
     Parameters
     ----------
@@ -156,7 +183,8 @@ def riesz_projection(ws, t, lam, eps, m=64):
                          f"got {eps}")
     if m < 16 or m % 2:
         raise ValueError("node count must be an even integer >= 16")
-    r, z = la.schur(as_matrix(t, ws), output="complex")
+    r, z, k = la.schur(as_matrix(t, ws), output="complex",
+                       sort=lambda x: abs(x - lam) < eps)
     # sigma(T+) = conj sigma(T) in finite dimension, so the ambient
     # eigenvalues are the whole proper spectrum
     ev = np.sort_complex(np.diag(r))
@@ -172,19 +200,35 @@ def riesz_projection(ws, t, lam, eps, m=64):
         raise NotIsolated(
             "spectral points in the annulus between eps and 2 eps"
         )
-    phases = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(m) / m))
-    eye = np.eye(ws.dim)
-    trtri = la.get_lapack_funcs("trtri", (r,))
-    s = np.zeros_like(r)
-    for phase in phases:
-        s += phase * trtri((lam + eps * phase) * eye - r, overwrite_c=1)[0]
-    s *= eps / m
+    n = ws.dim
+    trtri, trsyl = la.get_lapack_funcs(("trtri", "trsyl"), (r,))
+    y = (r - lam * np.eye(n)) / eps
+    # d = diag(I - Y11^m, I - W^m), W = Y22^{-1}; one inverse serves both
+    d = np.eye(n, dtype=r.dtype)
+    d[:k, :k] -= np.linalg.matrix_power(y[:k, :k], m)
+    if k < n:
+        w_m = np.linalg.matrix_power(trtri(y[k:, k:])[0], m)
+        d[k:, k:] -= w_m
+    s = trtri(d, overwrite_c=1)[0]
+    f11, f22 = s[:k, :k], s[k:, k:]
+    if k < n:
+        f22[...] = -w_m @ f22
+    # the exact projector is Z E Z*, E = [[I, X], [0, 0]]
+    e = np.zeros_like(s)
+    e[:k, :k] = np.eye(k)
+    if 0 < k < n:
+        # R = V diag(R11, R22) V^{-1} with V = [[I, -X], [0, I]], so
+        # f_m(R) has the block F11 X - X F22 where E has X
+        x, scale, _ = trsyl(r[:k, :k], r[k:, k:], r[:k, k:], isgn=-1)
+        e[:k, k:] = x / scale
+        s[:k, k:] = f11 @ e[:k, k:] - e[:k, k:] @ f22
     q = z @ s @ z.conj().T
     q_plus = ws.plus_matrix(q)
     diag = RieszDiagnostics(
         idempotency_res=_spec_norm(q @ q - q),
         plus_res=_spec_norm(q_plus - ws.plus_factored(z, s)),
-        range_dim=int(np.count_nonzero(dist < eps)),
+        range_dim=k,
+        quadrature_err=float(np.linalg.norm(s - e)),
     )
     return ProjPair(Operator(q, ws), Operator(q_plus, ws)), diag
 

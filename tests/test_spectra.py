@@ -268,15 +268,28 @@ def _contour_sum(m, center, eps, nodes):
     return (eps / len(nodes)) * acc
 
 
+def _disc(rng, count, centre=0.0, radius=1.0):
+    """``count`` points uniform in the disc of ``radius`` about ``centre``."""
+    return centre + radius * np.sqrt(rng.uniform(0.0, 1.0, count)) \
+        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+
+
+def _conjugated(rng, j, r):
+    """``V J V^-1`` for a block-diagonal ``J`` whose leading ``r`` x ``r``
+    block holds the eigenvalues inside the contour, and the exact spectral
+    projector ``V[:, :r] V^-1[:r]``; ``V`` is not normal."""
+    n = j.shape[0]
+    v = np.eye(n) + rand._complex_gauss(rng, n, n) * (0.5 / np.sqrt(n))
+    v_inv = np.linalg.inv(v)
+    return v @ j @ v_inv, v[:, :r] @ v_inv[:r]
+
+
 def _planted(rng, n, lam):
     """``V diag(lam, d_2..d_n) V^-1`` with the other eigenvalues in the unit
     disc, and its exact spectral projector at ``lam``, ``V e_1 e_1^T V^-1``."""
-    d = np.sqrt(rng.uniform(0.0, 1.0, n)) \
-        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    d = _disc(rng, n)
     d[0] = lam
-    v = np.eye(n) + rand._complex_gauss(rng, n, n) * (0.5 / np.sqrt(n))
-    v_inv = np.linalg.inv(v)
-    return (v * d) @ v_inv, np.outer(v[:, 0], v_inv[0])
+    return _conjugated(rng, np.diag(d), 1)
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -322,17 +335,128 @@ def test_riesz_rank_matches_the_singular_value_cut_of_q(trial):
     r = int(rng.integers(0, n + 1))
     m = int(rng.choice([16, 32, 64]))
     lam, eps = complex(2.0, rng.uniform(-1.0, 1.0)), 0.4
-    d = np.sqrt(rng.uniform(0.0, 1.0, n)) \
-        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    d = _disc(rng, n)
     near = lam + 0.1 * rng.uniform(0.0, 1.0, r) \
         * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, r))
     d[:r] = near if trial % 2 else lam
-    v = np.eye(n) + rand._complex_gauss(rng, n, n) * (0.5 / np.sqrt(n))
-    t = (v * d) @ np.linalg.inv(v)
+    t, _ = _conjugated(rng, np.diag(d), r)
     ws = modest_space(rng, n)
     pair, diag = tn.riesz_projection(ws, t, lam, eps, m)
     sv_rank = _range_kernel(ws, pair.p.matrix, _idempotent_cut)[1].rank
     assert diag.range_dim == sv_rank == r
+
+
+
+NODE_COUNTS = (16, 18, 30, 64, 130)
+
+
+def _jordan(value, size):
+    return value * np.eye(size) + np.eye(size, k=1)
+
+
+def _assert_riesz_against_oracle(ws, t, exact, r, lam, eps, m):
+    """``Q`` agrees with the dense contour sum within ``16 n u max(1,
+    |Q|_2)``, the rank with ``r``, and the distance to the exact projector
+    is within ``quadrature_err`` and the same bound.  The oracle sums ``m``
+    terms of size about one, so its rounding does not shrink with ``Q``: at
+    rank 0 ``|Q|_2`` is at most about ``2^-m``."""
+    pair, diag = tn.riesz_projection(ws, t, lam, eps, m)
+    q = pair.p.matrix
+    nodes = -np.pi + 2.0 * np.pi * np.arange(m) / m
+    bound = 16 * q.shape[0] * np.finfo(float).eps * max(1.0, _spec_norm(q))
+    assert diag.range_dim == r
+    assert _spec_norm(q - _contour_sum(t, lam, eps, nodes)) <= bound
+    assert _spec_norm(q - exact) <= diag.quadrature_err + bound
+
+
+RIESZ_LAM = complex(2.0, 0.3)
+
+EDGE_SPECTRA = {
+    "rank 0": lambda rng: (np.diag(_disc(rng, 6)), 0),
+    "rank n": lambda rng: (np.diag(_disc(rng, 6, RIESZ_LAM, 0.1)), 6),
+    "jordan inside": lambda rng: (
+        la.block_diag(_jordan(RIESZ_LAM, 3), np.diag(_disc(rng, 4))), 3),
+    "jordan outside": lambda rng: (
+        la.block_diag([[RIESZ_LAM]], _jordan(0.3, 3), np.diag(_disc(rng, 2))),
+        1),
+    "repeated and clustered inside": lambda rng: (np.diag(np.concatenate([
+        [RIESZ_LAM] * 3, _disc(rng, 2, RIESZ_LAM, 0.1), _disc(rng, 3)])), 5),
+}
+
+
+@pytest.mark.parametrize("m", NODE_COUNTS)
+@pytest.mark.parametrize("case", list(EDGE_SPECTRA))
+def test_riesz_edge_spectra_match_the_dense_contour_oracle(case, m):
+    """Empty and full inside blocks, Jordan blocks on either side of the
+    contour and repeated or clustered inside eigenvalues, at node counts
+    that include even ones other than powers of two."""
+    rng = rand.trial_rng(31, NODE_COUNTS.index(m))
+    j, r = EDGE_SPECTRA[case](rng)
+    t, exact = _conjugated(rng, j, r)
+    ws = modest_space(rng, j.shape[0])
+    _assert_riesz_against_oracle(ws, t, exact, r, RIESZ_LAM, 0.4, m)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 16),
+       m=st.sampled_from(NODE_COUNTS))
+def test_riesz_matches_the_dense_contour_oracle_property(seed, n, m):
+    """Any rank from 0 to n, the inside eigenvalues repeated or clustered
+    within ``eps / 4`` of the centre and the others in the unit disc."""
+    rng = rand.trial_rng(seed, 0)
+    r = int(rng.integers(0, n + 1))
+    inside = _disc(rng, r, RIESZ_LAM, 0.1) if rng.integers(2) \
+        else np.full(r, RIESZ_LAM)
+    j = np.diag(np.concatenate([inside, _disc(rng, n - r)]))
+    t, exact = _conjugated(rng, j, r)
+    ws = modest_space(rng, n)
+    _assert_riesz_against_oracle(ws, t, exact, r, RIESZ_LAM, 0.4, m)
+
+
+def test_riesz_work_does_not_grow_with_the_node_count(monkeypatch):
+    """The powers are taken by repeated squaring: m = 16 and m = 4096 take
+    the same one Schur form and the same LAPACK calls, at most two
+    triangular inverses and two Sylvester solves."""
+    ws = modest_space(rand.trial_rng(12, 402), 5)
+    t = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + 0.1 * np.triu(np.ones((5, 5)), 1)
+    calls = count_calls(monkeypatch, {la: ("schur",)})
+    get_lapack_funcs = la.get_lapack_funcs
+
+    def counted_get(names, *args, **kwargs):
+        funcs = get_lapack_funcs(names, *args, **kwargs)
+        if isinstance(names, str):
+            return count(names, funcs)
+        return [count(name, fn) for name, fn in zip(names, funcs)]
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(la, "get_lapack_funcs", counted_get)
+    per_m = []
+    for m in (16, 4096):
+        calls.clear()
+        _, diag = tn.riesz_projection(ws, t, 2.0, 0.4, m)
+        assert diag.range_dim == 1
+        per_m.append(dict(calls))
+    assert per_m[0] == per_m[1]
+    assert per_m[0]["scipy.linalg.schur"] == 1
+    assert per_m[0].get("trtri", 0) <= 2 and per_m[0].get("trsyl", 0) <= 2
+
+
+def test_riesz_quadrature_err_is_the_closed_form_on_a_diagonal():
+    """On diag(1, 2) around 1 with eps = 0.4 the outside eigenvalue has
+    ``y = 2.5``, so ``S - E = diag(0, -1 / (2.5^m - 1))``."""
+    ws = euclid2()
+    errs = []
+    for m in NODE_COUNTS:
+        _, diag = tn.riesz_projection(ws, np.diag([1.0, 2.0]), 1.0, 0.4, m)
+        assert diag.quadrature_err == pytest.approx(1.0 / (2.5 ** m - 1.0),
+                                                    rel=1e-12)
+        errs.append(diag.quadrature_err)
+    assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
 def test_riesz_cli_passes_a_weighted_input_the_dense_route_failed(tmp_path,

@@ -12,7 +12,6 @@ import scipy.linalg as la
 
 import twonorm as tn
 import twonorm.cli as cli
-import twonorm.schatten as schatten
 import twonorm.studies as studies
 from twonorm.errors import BadExponent
 from twonorm.studies import StudyRow
@@ -156,11 +155,15 @@ def test_symmetry_study_rows():
 
 
 def test_symmetry_study_builds_no_matrix_space(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a matrix space was built")
-
-    monkeypatch.setattr(schatten, "make_space", refuse)
+    """The dense route built ``z`` with ``np.diag``, the criterion map with
+    ``np.kron`` and identities with ``np.eye``, and took SVDs; the rows
+    take none of these steps."""
+    calls = count_calls(monkeypatch, {
+        np: ("diag", "kron", "eye", "zeros", "ones", "concatenate"),
+        la: ("svd", "svdvals", "eigvals", "eigvalsh", "schur"),
+    })
     assert [row.n for row in tn.symmetry_truncation_study([2, 4])] == [2, 4]
+    assert calls == {}
 
 
 def test_symmetry_margin_against_matrix_unit_oracle():
