@@ -179,7 +179,7 @@ def compat_margin(ws, s, t=None):
         t = s.complement
     pair = oblique_projection(ws, s, t)
     c = _c_matrix(pair)
-    svals = la.svdvals(c)
+    svals = np.linalg.svd(c, compute_uv=False)
     margin = float(svals[-1])
     kappa_c = float(svals[0] / svals[-1]) if margin > 0.0 else np.inf
     q = _lproj_matrix(ws, s)

@@ -37,7 +37,7 @@ def _complex_gauss(rng, *shape):
 
 def haar_unitary(rng, n):
     """Haar-distributed unitary via phase-fixed QR."""
-    q, r = la.qr(_complex_gauss(rng, n, n))
+    q, r = np.linalg.qr(_complex_gauss(rng, n, n))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -76,7 +76,7 @@ def random_subspace(rng, ws, r):
     is taken: the span is the one :func:`twonorm.subspaces.span` gives, in
     another orthonormal basis.
     """
-    q, _ = la.qr(_complex_gauss(rng, ws.dim, r), mode="economic")
+    q, _ = np.linalg.qr(_complex_gauss(rng, ws.dim, r))
     return Subspace(q, ws)
 
 

@@ -210,14 +210,22 @@ def z_criterion_margin(z):
     ------
     DimMismatch
         If ``z`` is not a non-empty square matrix.
+    ArithmeticError
+        If the map, an eigenvalue product or the map's smallest singular
+        value overflows, which takes a finite ``z`` with ``|z|_2`` near
+        ``1e154`` or more.
     """
     z = _square_nonempty(z, "block")
     k = z.shape[0]
-    flat = np.eye(k * k) + np.kron(z.T, z.conj().T)
-    return ZCriterionReport(
-        pair_margin=_pair_margin(z),
-        op_margin=float(la.svdvals(flat)[-1]),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = np.eye(k * k) + np.kron(z.T, z.conj().T)
+        pair_margin = _pair_margin(z)
+    op_margin = float(np.linalg.svd(flat, compute_uv=False)[-1]) \
+        if np.isfinite(flat).all() else np.inf
+    if not np.isfinite([pair_margin, op_margin]).all():
+        raise ArithmeticError(
+            f"criterion map overflows (|z|_2 = {_spec_norm(z):.3e})")
+    return ZCriterionReport(pair_margin=pair_margin, op_margin=op_margin)
 
 
 def sylvester(c, d, w, force=False):
@@ -374,7 +382,7 @@ def two_companions_demo(model, z, t):
             f"model side {model.k} does not match block side {k}"
         )
     t = _as_matrix(t, k, "t")
-    sv = la.svdvals(z)
+    sv = np.linalg.svd(z, compute_uv=False)
     _require(z @ z.conj().T - z.conj().T @ z,
              1e-10 * max(1.0, sv[0] ** 2), "z must be normal", ValueError)
     if sv[-1] <= 1e-12:

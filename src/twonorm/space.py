@@ -89,7 +89,7 @@ def _as_vector(f, n, name="vector"):
 def _spec_norm(m):
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _require(residual, tol, what, error=ArithmeticError):

@@ -15,6 +15,21 @@ Only the stacked bases are factored: their singular values give the
 splitting gap, the condition number and the norm of ``P``; the range and
 kernel of ``P`` are fixed by its construction, and each subspace computes
 its weighted complement once and keeps it.
+
+Every SVD (full, thin or values only) and every QR in the package goes
+through ``numpy.linalg``.  The check suites take dozens of them per trial
+on matrices of side ten or so, where scipy.linalg's per-call layers (its
+batching decorator, ``asarray_chkfinite`` and the workspace queries) cost
+more than the LAPACK work; both libraries call the same drivers, ``gesdd``
+and ``geqrf``/``ungqr``.  scipy.linalg stays where numpy has no routine or
+gives other bits: ``schur``, ``eigh`` (its ``evr`` driver), ``trsyl`` and
+``trtri`` through ``get_lapack_funcs``, the Cholesky
+``solve(assume_a="pos")``, ``inv`` (numpy's solves against the identity
+with ``gesv``, scipy's takes ``getrf`` and ``getri``) and the general
+``solve``, which scipy hands to its Hermitian solver when the matrix is
+exactly Hermitian.  Without scipy's finiteness check, each factored matrix
+is finite by construction or by a check: :func:`span` and the range and
+kernel splits, which take caller data, reject a non-finite SVD.
 """
 
 from dataclasses import dataclass
@@ -158,7 +173,8 @@ def span(ws, vectors):
     """Orthonormalized span of a family of vectors.
 
     Rank decisions truncate singular values below ``TOL_RANK`` relative to
-    the largest one.  An empty family yields the zero subspace.
+    the largest one.  An empty family yields the zero subspace.  A family
+    with a NaN or infinite entry raises ``ValueError``.
 
     Parameters
     ----------
@@ -172,11 +188,23 @@ def span(ws, vectors):
     cols = _vectors_as_columns(ws, vectors)
     if cols.shape[1] == 0:
         return Subspace(cols, ws)
-    u, s, _ = la.svd(cols, full_matrices=False)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace(np.zeros((ws.dim, 0), dtype=complex), ws)
+    _require_finite(s, "vectors")
     r = int(np.sum(s > TOL_RANK * s[0]))
     return Subspace(u[:, :r], ws)
+
+
+def _require_finite(sv, what):
+    """Reject caller data whose SVD came back non-finite.
+
+    numpy raises ``LinAlgError``, a ``ValueError``, on a NaN entry, but
+    returns NaN singular values for an infinite one; the largest singular
+    value then tells.
+    """
+    if not np.isfinite(sv[0]):
+        raise ValueError(f"{what} must have finite entries")
 
 
 def _range_kernel(ws, mat, cut):
@@ -189,9 +217,11 @@ def _range_kernel(ws, mat, cut):
     different matrices: :func:`_span_cut` for any matrix,
     :func:`_idempotent_cut` for a candidate projection and
     ``compat._matrix_rank_cut`` where rank counts must agree with
-    ``numpy.linalg.matrix_rank``.
+    ``numpy.linalg.matrix_rank``.  A matrix with a NaN or infinite entry
+    raises ``ValueError``.
     """
-    u, sv, vh = la.svd(mat)
+    u, sv, vh = np.linalg.svd(mat)
+    _require_finite(sv, "matrix")
     r = int(np.sum(sv > cut(sv)))
     return sv, Subspace(u[:, :r], ws), Subspace(vh[r:].conj().T, ws)
 
@@ -219,7 +249,7 @@ def complement_L(ws, s):
     Every call recomputes the complement; :attr:`Subspace.complement`
     computes it once per subspace and is what the package itself uses.
     """
-    q, _ = la.qr(ws.apply_weight(s.basis))
+    q, _ = np.linalg.qr(ws.apply_weight(s.basis), mode="complete")
     return Subspace(q[:, s.rank:], ws)
 
 
@@ -228,7 +258,7 @@ def _stacked_svals(s, t):
     a single zero when the dimensions do not add up to the ambient one."""
     if s.rank + t.rank != s.space.dim:
         return np.zeros(1)
-    return la.svdvals(np.hstack([s.basis, t.basis]))
+    return np.linalg.svd(np.hstack([s.basis, t.basis]), compute_uv=False)
 
 
 def direct_sum_gap(s, t):
@@ -259,7 +289,6 @@ def principal_angles(s1, s2):
     if s1.rank < s2.rank:
         b1, b2 = b2, b1
     gram = b1.conj().T @ b2
-    # numpy's SVD costs half of scipy's per call on these small matrices
     sines = np.linalg.svd(b2 - b1 @ gram, compute_uv=False)
     angles = np.arcsin(np.minimum(sines, 1.0))
     wide = sines ** 2 > 0.5

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as la
 
 import twonorm as tn
 from twonorm import rand
@@ -34,6 +35,18 @@ def rotated_normal(rng, k):
     """Normal matrix with complex Gaussian eigenvalues."""
     u = rand.haar_unitary(rng, k)
     return (u * rand._complex_gauss(rng, k)) @ u.conj().T
+
+
+# the factorization entry points of scipy.linalg and numpy.linalg, as
+# ``count_calls`` takes them
+FACTORIZATIONS = {
+    la: ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "qr",
+         "lu", "lu_factor", "cholesky", "cho_factor", "schur", "inv",
+         "solve", "lstsq", "pinv", "null_space", "orth", "subspace_angles"),
+    np.linalg: ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals",
+                "qr", "cholesky", "inv", "solve", "lstsq", "pinv",
+                "matrix_rank", "cond"),
+}
 
 
 def count_calls(monkeypatch, names):

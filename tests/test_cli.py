@@ -3,6 +3,8 @@
 import argparse
 import io
 import json
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stdout
 
@@ -13,7 +15,7 @@ import twonorm.cli as cli
 import twonorm.errors as errors
 import twonorm.matio as matio
 
-from conftest import count_calls
+from conftest import FACTORIZATIONS, count_calls
 
 
 def run_cli(args):
@@ -177,6 +179,35 @@ def test_demo_finite_rank_rejects_sizes_out_of_range(sizes, message, capsys):
     assert capsys.readouterr().err == f"twonorm: {message}\n"
 
 
+# per suite, the factorizations of one trial at --dim 10 (seed 0); every
+# SVD, spectral norms included, and every QR is numpy's
+_SUITE_FACTORIZATIONS = {
+    "adjoint": {"numpy.linalg.qr": 1, "numpy.linalg.svd": 3},
+    "buckholtz": {"numpy.linalg.qr": 5, "numpy.linalg.svd": 6,
+                  "scipy.linalg.inv": 3, "scipy.linalg.solve": 2},
+    "compat": {"numpy.linalg.qr": 9, "numpy.linalg.svd": 12,
+               "scipy.linalg.inv": 4, "scipy.linalg.solve": 4},
+    "gz": {"numpy.linalg.qr": 1, "numpy.linalg.svd": 3},
+    "krein": {"numpy.linalg.qr": 5, "numpy.linalg.svd": 11,
+              "scipy.linalg.inv": 2, "scipy.linalg.solve": 1},
+    "lemma": {"numpy.linalg.matrix_rank": 8, "numpy.linalg.qr": 1,
+              "numpy.linalg.svd": 4},
+    "spectra": {"numpy.linalg.qr": 1, "numpy.linalg.svd": 1,
+                "scipy.linalg.eig": 1},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_FACTORIZATIONS))
+def test_check_trial_factorization_counts(suite, monkeypatch):
+    """The factorizations one check trial takes, so that sharing one
+    between steps shows as a count change."""
+    calls = count_calls(monkeypatch, FACTORIZATIONS)
+    code, _ = run_cli(["check", suite, "--dim", "10", "--trials", "1",
+                       "--seed", "0"])
+    assert code == 0
+    assert calls == _SUITE_FACTORIZATIONS[suite]
+
+
 @pytest.mark.parametrize("sizes", [["--dim", "1", "--rank", "0"],
                                    ["--dim", "1", "--rank", "1"],
                                    ["--rank", "0"], ["--rank", "10"]])
@@ -192,6 +223,19 @@ def test_demo_cq_emits_frozen_margins():
     payload = json.loads(out)
     assert payload["pair_margin"] == pytest.approx(0.0, abs=1e-12)
     assert payload["op_margin"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_demo_cq_overflow_exits_one_without_a_warning():
+    """A finite ``z`` whose criterion map overflows is valid input: the demo
+    names the overflow and ``|z|_2`` and exits 1, and numpy's overflow
+    warning does not reach stderr."""
+    done = subprocess.run([sys.executable, "-m", "twonorm", "demo", "cq",
+                           "--z", "diag:1e160,1"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == \
+        "twonorm: criterion map overflows (|z|_2 = 1.000e+160)\n"
 
 
 def test_demo_two_companions_runs():

@@ -6,8 +6,9 @@ no statement throws away the value of a package function that returns one,
 no public name is declared by two modules, only ``matio`` imports
 ``json``, only ``cli`` imports ``matio``, ``studies`` imports no package
 module but ``errors``, only ``space`` knows how the weight is stored, no instance is made past its constructor with
-``object.__new__``, and the command line starts without
-``scipy.sparse``."""
+``object.__new__``, no module reaches scipy.linalg's ``svd``, ``svdvals``
+or ``qr``, since every SVD and QR goes through ``numpy.linalg``, and the
+command line starts without ``scipy.sparse``."""
 
 import ast
 import re
@@ -599,6 +600,77 @@ def test_constructor_bypass_is_reported(tmp_path):
                  "def g():\n    return [object.__new__(int) for _ in 'ab']\n")
     assert _constructor_bypasses([a]) == ["a.py:2 object.__new__",
                                           "a.py:8 object.__new__"]
+
+
+_NUMPY_ONLY = ("svd", "svdvals", "qr")
+
+
+def _scipy_svd_and_qr_uses(modules):
+    """References to scipy.linalg's ``svd``, ``svdvals`` or ``qr``, through
+    any name the module binds: ``la.svd`` after ``import scipy.linalg as
+    la``, ``scipy.linalg.qr``, ``linalg.svdvals`` after ``from scipy import
+    linalg``, or a name imported ``from scipy.linalg``.  Per call they cost
+    more than LAPACK's work on the package's small matrices, and
+    ``numpy.linalg`` runs the same drivers."""
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            head = dotted(node.value)
+            return head and f"{head}.{node.attr}"
+        return None
+
+    hits = []
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        scipy_linalg, routines = {"scipy.linalg"}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                scipy_linalg.update(alias.asname for alias in node.names
+                                    if alias.name == "scipy.linalg"
+                                    and alias.asname)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                for alias in node.names:
+                    if node.module == "scipy" and alias.name == "linalg":
+                        scipy_linalg.add(alias.asname or "linalg")
+                    elif node.module == "scipy.linalg" \
+                            and alias.name in _NUMPY_ONLY:
+                        routines.add(alias.asname or alias.name)
+                        hits.append(f"{path.name}:{node.lineno} "
+                                    f"scipy.linalg.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in _NUMPY_ONLY \
+                    and dotted(node.value) in scipy_linalg:
+                hits.append(f"{path.name}:{node.lineno} "
+                            f"scipy.linalg.{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in routines:
+                hits.append(f"{path.name}:{node.lineno} {node.id}")
+    return sorted(hits)
+
+
+def test_every_svd_and_qr_goes_through_numpy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _scipy_svd_and_qr_uses(modules) == []
+
+
+def test_scipy_svd_or_qr_is_reported(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("import numpy as np\nimport scipy.linalg as la\n\n\n"
+                 "def f(m):\n"
+                 "    s = la.svdvals(m) + np.linalg.svd(m)[1]\n"
+                 "    q, r = la.qr(m, mode='economic')\n"
+                 "    return la.schur(m), la.inv(r), la.svd, s, q\n")
+    b = tmp_path / "b.py"
+    b.write_text("import scipy\nfrom scipy import linalg as sla\n"
+                 "from scipy.linalg import qr as factor, eigh\n\n\n"
+                 "def g(m):\n"
+                 "    return scipy.linalg.svd(m), sla.qr(m), factor(m), "
+                 "eigh(m)\n")
+    assert _scipy_svd_and_qr_uses([a, b]) == [
+        "a.py:6 scipy.linalg.svdvals", "a.py:7 scipy.linalg.qr",
+        "a.py:8 scipy.linalg.svd", "b.py:3 scipy.linalg.qr",
+        "b.py:7 factor", "b.py:7 scipy.linalg.qr", "b.py:7 scipy.linalg.svd"]
 
 
 def test_cli_import_leaves_out_scipy_sparse():

@@ -193,6 +193,19 @@ def test_z_criterion_rejects_empty_or_non_square_blocks(shape):
         tn.z_criterion_margin(np.ones(shape))
 
 
+@pytest.mark.parametrize("z", [
+    np.diag([1e160, 1.0]),
+    # entries 1e154: the map is finite, every eigenvalue product overflows
+    1e154 * np.array([[1.0, 1.0], [1.0, -1.0]]),
+])
+def test_z_criterion_overflow_is_an_arithmetic_error(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError,
+                           match=r"^criterion map overflows \(\|z\|_2 = "):
+            tn.z_criterion_margin(z)
+
+
 def test_demo_sylvester_on_empty_matrices_is_a_parameter_error(
         tmp_path, capsys):
     path = tmp_path / "empty.mat"
@@ -341,8 +354,9 @@ def test_sylvester_forms_no_kronecker_map(monkeypatch):
             return out
         return wrapped
 
-    for name in ("svdvals", "solve", "eigvals"):
+    for name in ("solve", "eigvals"):
         monkeypatch.setattr(la, name, recorded(getattr(la, name)))
+    monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd))
     monkeypatch.setattr(np, "kron", recorded(np.kron, of_result=True))
     rng = rand.trial_rng(71, 0)
     c, d = _sylvester_pair(rng, k, False)
@@ -350,6 +364,7 @@ def test_sylvester_forms_no_kronecker_map(monkeypatch):
     assert res.solvable
     assert (k * k, k * k) not in [shape for _, shape in shapes]
     assert "eigvals" not in [name for name, _ in shapes]
+    assert [shape for name, shape in shapes if name == "svd"] == [(k, k)]
 
 
 def test_sylvester_side_64_allocates_far_less_than_the_kronecker_map():
@@ -651,13 +666,13 @@ def test_two_companions_takes_no_svd_of_the_kronecker_map(monkeypatch):
     k = 3
     model = tn.matrix_space(2 * k)
     shapes = []
-    svdvals = la.svdvals
+    svd = np.linalg.svd
 
     def recorded(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return svdvals(a, *args, **kwargs)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(la, "svdvals", recorded)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
     z = rotated_normal(rand.trial_rng(44, 1), k)
     rep = tn.two_companions_demo(model, z, np.diag([1.0, -1.0, 1.0]))
     assert rep.fixed_kernel and rep.transported_to_block_range

@@ -210,15 +210,14 @@ def test_check_spectra_trial_factors_the_ambient_matrix_once(monkeypatch,
     spectrum tag is that eigensolve, and the residual checks the theorem
     it rests on."""
     calls = count_calls(monkeypatch, {la: ("eigvals", "eig")})
-    norm = np.linalg.norm
+    svd = np.linalg.svd
     spectral = []
 
-    def counted_norm(x, ord=None, *args, **kwargs):
-        if ord == 2:
-            spectral.append(x.shape)
-        return norm(x, ord, *args, **kwargs)
+    def counted_svd(x, *args, **kwargs):
+        spectral.append(x.shape)
+        return svd(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     assert cli.main(["check", "spectra", "--trials", "1", "--seed", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
     assert calls == {"scipy.linalg.eig": 1}
@@ -246,14 +245,24 @@ def test_riesz_never_forms_the_plus_adjoint_of_the_operator(monkeypatch):
 def test_riesz_takes_one_schur_form_and_no_eigensolve(monkeypatch):
     """The contour preconditions and the rank of the projection read the
     eigenvalues from the diagonal of the Schur form the resolvents are
-    taken from; no dense inverse runs, and no SVD of the projection."""
+    taken from; no dense inverse runs, and no SVD of the projection: the
+    only SVDs are the values-only spectral norms of the two residuals."""
     ws = modest_space(rand.trial_rng(12, 401), 5)
     t = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + 0.1 * np.triu(np.ones((5, 5)), 1)
-    calls = count_calls(monkeypatch,
-                        {la: ("schur", "eigvals", "inv", "svd", "svdvals")})
+    calls = count_calls(monkeypatch, {la: ("schur", "eigvals", "inv"),
+                                      np.linalg: ("eigvals", "inv")})
+    svds = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        svds.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
     _, diag = tn.riesz_projection(ws, t, 2.0, 0.4, 64)
     assert diag.range_dim == 1
     assert calls == {"scipy.linalg.schur": 1}
+    assert svds == [((5, 5), False), ((5, 5), False)]
 
 
 def _contour_sum(m, center, eps, nodes):

@@ -16,7 +16,7 @@ import twonorm.studies as studies
 from twonorm.errors import BadExponent
 from twonorm.studies import StudyRow
 
-from conftest import count_calls
+from conftest import FACTORIZATIONS, count_calls
 
 
 def test_diverge_study_rejects_bad_exponents():
@@ -105,21 +105,10 @@ def test_diverge_rows_lie_within_a_few_rounding_units_of_40_digits():
         assert (row.margin_c, row.q_norm) == (1.0, 1.0)
 
 
-# the factorization entry points of scipy.linalg and numpy.linalg
-_FACTORIZATIONS = {
-    la: ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "qr",
-         "lu", "lu_factor", "cholesky", "cho_factor", "schur", "inv",
-         "solve", "lstsq", "pinv", "null_space", "orth", "subspace_angles"),
-    np.linalg: ("eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals",
-                "qr", "cholesky", "inv", "solve", "lstsq", "pinv",
-                "matrix_rank", "cond"),
-}
-
-
 @pytest.mark.parametrize("control", [False, True])
 def test_diverge_rows_take_no_eigendecomposition(control, monkeypatch):
     """The rows are a closed form in O(n) sums: no factorization at all."""
-    calls = count_calls(monkeypatch, _FACTORIZATIONS)
+    calls = count_calls(monkeypatch, FACTORIZATIONS)
     rows = tn.diverging_vector_study([8, 64], 0.5, control=control)
     assert len(rows) == 2
     assert calls == {}
@@ -161,6 +150,7 @@ def test_symmetry_study_builds_no_matrix_space(monkeypatch):
     calls = count_calls(monkeypatch, {
         np: ("diag", "kron", "eye", "zeros", "ones", "concatenate"),
         la: ("svd", "svdvals", "eigvals", "eigvalsh", "schur"),
+        np.linalg: ("svd", "eigvals", "eigvalsh"),
     })
     assert [row.n for row in tn.symmetry_truncation_study([2, 4])] == [2, 4]
     assert calls == {}
