@@ -17,7 +17,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-import scipy.linalg as la
 
 from . import compat, matio, rand, schatten, spectra, studies, subspaces
 from .errors import DimMismatch, ParameterError, TwoNormError
@@ -143,7 +142,7 @@ def _suite_spectra(rng, ws):
     defective eigenvalues included; it bounds the smallest singular value
     of ``T - conj(mu) I``."""
     t = Operator(rand.random_operator(rng, ws), ws)
-    mu, x = la.eig(t.plus.matrix)
+    mu, x = np.linalg.eig(t.plus.matrix)
     yh = ws.apply_weight(x).conj().T
     res = np.linalg.norm(yh @ t.matrix - mu.conj()[:, np.newaxis] * yh,
                          axis=1) / np.linalg.norm(yh, axis=1)

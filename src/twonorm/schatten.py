@@ -128,7 +128,10 @@ class TwoCompanionsReport:
 
     Both verdicts hold on every input :func:`two_companions_demo` accepts,
     by its proof: ``z`` invertible, ``cond(z) > 1e10`` included, gives
-    ``col(x q) = col(q)`` and ``row(q x) = row(q_t)``.
+    ``col(x q) = col(q)`` and ``row(q x) = row(q_t)``.  So does
+    ``transported_pair_margin``: a self-adjoint involution ``t`` has its
+    spectrum in ``{1, -1}``, so the margin is exactly 0 when both signs
+    occur and 2 when one does.
     """
 
     fixed_kernel: bool
@@ -187,8 +190,27 @@ def block_idempotent(z):
 
 def _pair_margin(z):
     """``min |1 + conj(lam) mu|`` over eigenvalue pairs of a complex ``z``."""
-    lam = la.eigvals(z)
+    lam = np.linalg.eigvals(z)
     return float(np.abs(1.0 + np.multiply.outer(np.conj(lam), lam)).min())
+
+
+def _require_no_overflow(z, what, *values):
+    """Raise ``ArithmeticError`` naming ``|z|_2`` unless every value, each
+    computed from ``z`` under ``np.errstate``, is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ArithmeticError(f"{what} overflows (|z|_2 = {_spec_norm(z):.3e})")
+
+
+def _block(model, z):
+    """``z`` as a complex k x k block and ``k``, checked against the side
+    ``2k`` of the matrix space ``model``."""
+    z = _as_matrix(z, None, "block")
+    k = z.shape[0]
+    if model.k != 2 * k:
+        raise DimMismatch(
+            f"model side {model.k} does not match block side {k}"
+        )
+    return z, k
 
 
 def _square_nonempty(m, name):
@@ -211,20 +233,19 @@ def z_criterion_margin(z):
     DimMismatch
         If ``z`` is not a non-empty square matrix.
     ArithmeticError
-        If the map, an eigenvalue product or the map's smallest singular
-        value overflows, which takes a finite ``z`` with ``|z|_2`` near
-        ``1e154`` or more.
+        If the map or the pair margin overflows, which takes a finite ``z``
+        with ``|z|_2`` near ``1e154`` or more.  Otherwise the map's
+        smallest singular value is finite: it is at most the smallest
+        modulus of the map's eigenvalues ``1 + conj(lam) mu``, the pair
+        margin.
     """
     z = _square_nonempty(z, "block")
     k = z.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         flat = np.eye(k * k) + np.kron(z.T, z.conj().T)
         pair_margin = _pair_margin(z)
-    op_margin = float(np.linalg.svd(flat, compute_uv=False)[-1]) \
-        if np.isfinite(flat).all() else np.inf
-    if not np.isfinite([pair_margin, op_margin]).all():
-        raise ArithmeticError(
-            f"criterion map overflows (|z|_2 = {_spec_norm(z):.3e})")
+    _require_no_overflow(z, "criterion map", flat, pair_margin)
+    op_margin = float(np.linalg.svd(flat, compute_uv=False)[-1])
     return ZCriterionReport(pair_margin=pair_margin, op_margin=op_margin)
 
 
@@ -335,12 +356,7 @@ def cq_compat_demo(model, z):
     -------
     CqReport
     """
-    z = _as_matrix(z, None, "block")
-    k = z.shape[0]
-    if model.k != 2 * k:
-        raise DimMismatch(
-            f"model side {model.k} does not match block side {k}"
-        )
+    z, k = _block(model, z)
     crit = z_criterion_margin(z)
     return CqReport(
         k=k,
@@ -359,44 +375,60 @@ def two_companions_demo(model, z, t):
     must be a self-adjoint involution of the same size.  Right
     multiplication by ``x = diag(z, t)`` fixes the kernel of the two-sided
     multiplication by ``q = [[I, z], [0, 0]]`` and carries its range onto
-    the range built from ``t``, whose pair margin is reported (zero when
-    ``t`` has eigenvalues of both signs).
+    the range built from ``t``, whose pair margin is reported.
 
-    The checks on entry prove both verdicts, so they are stated, not
-    recomputed.  The kernel ``{y : q y q = 0}`` is fixed exactly when
-    ``col(x q) = col(q)``; the range ``{y : col(y) <= col(q), row(y) <=
-    row(q)}`` moves to columns in ``col(q)``, rows in ``row(q x)``.  With
-    ``x q = [[z, z^2], [0, 0]]`` and ``q x = [[z, z t], [0, 0]] = diag(z, I)
-    [[I, t], [0, 0]]``, both hold exactly when ``z`` is invertible, also at
-    ``cond(z) > 1e10``, where a rank cut relative to ``|z|_2`` would drop
-    the smallest direction of ``z``.
+    The checks on entry prove both verdicts and the transported margin, so
+    they are stated, not computed; the one eigensolve is of ``z``.  The
+    kernel ``{y : q y q = 0}`` is fixed exactly when ``col(x q) = col(q)``;
+    the range ``{y : col(y) <= col(q), row(y) <= row(q)}`` moves to columns
+    in ``col(q)``, rows in ``row(q x)``.  With ``x q = [[z, z^2], [0, 0]]``
+    and ``q x = [[z, z t], [0, 0]] = diag(z, I) [[I, t], [0, 0]]``, both
+    hold exactly when ``z`` is invertible, also at ``cond(z) > 1e10``,
+    where a rank cut relative to ``|z|_2`` would drop the smallest
+    direction of ``z``.
+
+    A self-adjoint ``t`` has real eigenvalues, and ``t^2 = I`` makes each
+    of them 1 or -1, so every product ``conj(lam) mu`` is 1 or -1 and the
+    pair margin ``min |1 + conj(lam) mu|`` is 0 when both signs occur and
+    2 otherwise.  With ``p`` of the ``k`` eigenvalues equal to 1, ``tr t =
+    2p - k`` is ``k`` or ``-k`` for one sign and at most ``k - 2`` in
+    modulus for both, so ``|Re tr t| < k - 1`` decides: the entry checks'
+    tolerance of ``1e-10`` moves the trace by about ``k 1e-10`` at most,
+    far less than its distance of 1 from either case.
 
     Returns
     -------
     TwoCompanionsReport
+
+    Raises
+    ------
+    ArithmeticError
+        If the normality check overflows: ``z z* - z* z``, its tolerance
+        ``1e-10 |z|_2^2`` or the pair margin of ``z``, whose products are
+        at most ``|z|_2^2``.  That takes ``|z|_2`` near ``1.3e154`` or
+        more.  Below it, a commutator whose Frobenius norm overflows is
+        measured by its spectral norm, which does not.
     """
-    z = _as_matrix(z, None, "block")
-    k = z.shape[0]
-    if model.k != 2 * k:
-        raise DimMismatch(
-            f"model side {model.k} does not match block side {k}"
-        )
+    z, k = _block(model, z)
     t = _as_matrix(t, k, "t")
     sv = np.linalg.svd(z, compute_uv=False)
-    _require(z @ z.conj().T - z.conj().T @ z,
-             1e-10 * max(1.0, sv[0] ** 2), "z must be normal", ValueError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        commutator = z @ z.conj().T - z.conj().T @ z
+        tol = 1e-10 * max(1.0, sv[0] ** 2)
+        z_margin = _pair_margin(z)
+        _require_no_overflow(z, "normality check", commutator, tol, z_margin)
+        _require(commutator, tol, "z must be normal", ValueError)
     if sv[-1] <= 1e-12:
         raise ValueError("z must be invertible")
     _require(t - t.conj().T, 1e-10, "t must be self-adjoint", ValueError)
     _require(t @ t - np.eye(k), 1e-10, "t must be an involution", ValueError)
-    z_margin = _pair_margin(z)
     if z_margin <= 0.0:
         raise ValueError("z must have a positive pair margin")
 
     return TwoCompanionsReport(
         fixed_kernel=True,
         transported_to_block_range=True,
-        transported_pair_margin=_pair_margin(t),
+        transported_pair_margin=0.0 if abs(np.trace(t).real) < k - 1 else 2.0,
         original_pair_margin=z_margin,
     )
 

@@ -241,7 +241,7 @@ class Operator:
     @cached_property
     def eigvals(self):
         """Ambient eigenvalues, sorted by ``np.sort_complex``; read-only."""
-        ev = np.sort_complex(la.eigvals(self.matrix))
+        ev = np.sort_complex(np.linalg.eigvals(self.matrix))
         ev.setflags(write=False)
         return ev
 

@@ -252,8 +252,8 @@ def vvplus_diagnostics(ws, q):
              "candidate matrix is not a projection", NotIdempotent)
     v = 2.0 * m - np.eye(ws.dim)
     v_plus = ws.plus_matrix(v)
-    spec = np.sort_complex(la.eigvals(v @ v_plus))
-    sym = la.eigvals(v + v_plus)
+    spec = np.sort_complex(np.linalg.eigvals(v @ v_plus))
+    sym = np.linalg.eigvals(v + v_plus)
     return VVPlusReport(
         spec_vvplus=spec,
         min_symmetric=float(np.abs(sym).min()),

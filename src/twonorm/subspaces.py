@@ -16,20 +16,24 @@ splitting gap, the condition number and the norm of ``P``; the range and
 kernel of ``P`` are fixed by its construction, and each subspace computes
 its weighted complement once and keeps it.
 
-Every SVD (full, thin or values only) and every QR in the package goes
-through ``numpy.linalg``.  The check suites take dozens of them per trial
-on matrices of side ten or so, where scipy.linalg's per-call layers (its
-batching decorator, ``asarray_chkfinite`` and the workspace queries) cost
-more than the LAPACK work; both libraries call the same drivers, ``gesdd``
-and ``geqrf``/``ungqr``.  scipy.linalg stays where numpy has no routine or
-gives other bits: ``schur``, ``eigh`` (its ``evr`` driver), ``trsyl`` and
-``trtri`` through ``get_lapack_funcs``, the Cholesky
-``solve(assume_a="pos")``, ``inv`` (numpy's solves against the identity
-with ``gesv``, scipy's takes ``getrf`` and ``getri``) and the general
-``solve``, which scipy hands to its Hermitian solver when the matrix is
-exactly Hermitian.  Without scipy's finiteness check, each factored matrix
-is finite by construction or by a check: :func:`span` and the range and
-kernel splits, which take caller data, reject a non-finite SVD.
+Every SVD (full, thin or values only), every QR and every general
+eigensolve in the package goes through ``numpy.linalg``.  The check
+suites take dozens of them per trial on matrices of side ten or so, where
+scipy.linalg's per-call layers (its batching decorator,
+``asarray_chkfinite`` and the workspace queries) cost more than the LAPACK
+work; both libraries call the same drivers, ``gesdd``, ``geqrf``/``ungqr``
+and ``geev``, and scipy's ``eig`` and ``eigvals`` (scipy 1.17) also return
+wrong eigenvalues once the norm passes about 1.5e138.  scipy.linalg stays
+only where numpy has no routine or gives other bits: ``schur``, the
+``eigh`` of a dense weight (its ``evr`` driver), ``trsyl`` and ``trtri``
+through ``get_lapack_funcs``, the Cholesky ``solve(assume_a="pos")``,
+``inv`` (numpy's solves against the identity with ``gesv``, scipy's takes
+``getrf`` and ``getri``) and the general ``solve``, which scipy hands to
+its Hermitian solver when the matrix is exactly Hermitian; ARPACK comes
+from ``scipy.sparse.linalg``.  Without scipy's finiteness check, each
+factored matrix is finite by construction or by a check: :func:`span` and
+the range and kernel splits, which take caller data, reject a non-finite
+SVD.
 """
 
 from dataclasses import dataclass

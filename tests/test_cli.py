@@ -192,8 +192,8 @@ _SUITE_FACTORIZATIONS = {
               "scipy.linalg.inv": 2, "scipy.linalg.solve": 1},
     "lemma": {"numpy.linalg.matrix_rank": 8, "numpy.linalg.qr": 1,
               "numpy.linalg.svd": 4},
-    "spectra": {"numpy.linalg.qr": 1, "numpy.linalg.svd": 1,
-                "scipy.linalg.eig": 1},
+    "spectra": {"numpy.linalg.eig": 1, "numpy.linalg.qr": 1,
+                "numpy.linalg.svd": 1},
 }
 
 
@@ -236,6 +236,53 @@ def test_demo_cq_overflow_exits_one_without_a_warning():
     assert done.stdout == ""
     assert done.stderr == \
         "twonorm: criterion map overflows (|z|_2 = 1.000e+160)\n"
+
+
+def test_demo_two_companions_overflow_exits_one_without_a_warning():
+    """``z = diag(1e160, 1)`` is finite, normal and invertible, but its
+    normality check overflows: the demo names ``|z|_2`` and exits 1."""
+    done = subprocess.run([sys.executable, "-m", "twonorm", "demo",
+                           "two_companions", "--z", "diag:1e160,1",
+                           "--t", "diag:1,-1"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == \
+        "twonorm: normality check overflows (|z|_2 = 1.000e+160)\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["demo", "cq", "--z", "diag:1e140,1"],
+     {"pair_margin": 2.0, "op_margin": 2.0}),
+    (["demo", "two_companions", "--z", "diag:1e140,1", "--t", "diag:1,-1"],
+     {"original_pair_margin": 2.0, "transported_pair_margin": 0.0}),
+])
+def test_block_demos_read_exact_margins_past_norm_1e138(argv, expected):
+    """scipy.linalg's ``eigvals`` gave 1.4886e138 and 1.4886e-2 as the
+    eigenvalues of ``diag(1e140, 1)``, and a pair margin of 1.0002."""
+    code, out = run_cli(argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert {key: payload[key] for key in expected} == expected
+
+
+def test_demo_two_companions_takes_one_eigensolve_of_z(monkeypatch):
+    """The transported margin comes from the trace of ``t``, so the one
+    eigensolve is of ``z``, next to its one SVD."""
+    calls = count_calls(monkeypatch, FACTORIZATIONS)
+    of = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        of.append(np.array(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    code, _ = run_cli(["demo", "two_companions", "--z", "diag:0.5,2",
+                       "--t", "diag:1,-1"])
+    assert code == 0
+    assert calls == {"numpy.linalg.eigvals": 1, "numpy.linalg.svd": 1}
+    assert len(of) == 1 and np.array_equal(of[0], np.diag([0.5, 2.0]))
 
 
 def test_demo_two_companions_runs():

@@ -6,9 +6,10 @@ no statement throws away the value of a package function that returns one,
 no public name is declared by two modules, only ``matio`` imports
 ``json``, only ``cli`` imports ``matio``, ``studies`` imports no package
 module but ``errors``, only ``space`` knows how the weight is stored, no instance is made past its constructor with
-``object.__new__``, no module reaches scipy.linalg's ``svd``, ``svdvals``
-or ``qr``, since every SVD and QR goes through ``numpy.linalg``, and the
-command line starts without ``scipy.sparse``."""
+``object.__new__``, no module reaches scipy.linalg's ``svd``, ``svdvals``,
+``qr``, ``eig`` or ``eigvals``, since every SVD, QR and general eigensolve
+goes through ``numpy.linalg``, and the command line starts without
+``scipy.sparse``."""
 
 import ast
 import re
@@ -602,16 +603,18 @@ def test_constructor_bypass_is_reported(tmp_path):
                                           "a.py:8 object.__new__"]
 
 
-_NUMPY_ONLY = ("svd", "svdvals", "qr")
+_NUMPY_ONLY = ("svd", "svdvals", "qr", "eig", "eigvals")
 
 
-def _scipy_svd_and_qr_uses(modules):
-    """References to scipy.linalg's ``svd``, ``svdvals`` or ``qr``, through
-    any name the module binds: ``la.svd`` after ``import scipy.linalg as
-    la``, ``scipy.linalg.qr``, ``linalg.svdvals`` after ``from scipy import
-    linalg``, or a name imported ``from scipy.linalg``.  Per call they cost
-    more than LAPACK's work on the package's small matrices, and
-    ``numpy.linalg`` runs the same drivers."""
+def _scipy_numpy_only_uses(modules):
+    """References to scipy.linalg's ``svd``, ``svdvals``, ``qr``, ``eig`` or
+    ``eigvals``, through any name the module binds: ``la.svd`` after
+    ``import scipy.linalg as la``, ``scipy.linalg.qr``, ``linalg.svdvals``
+    after ``from scipy import linalg``, or a name imported ``from
+    scipy.linalg``.  Per call they cost more than LAPACK's work on the
+    package's small matrices, and ``numpy.linalg`` runs the same drivers;
+    scipy's general eigensolves (scipy 1.17) also return wrong eigenvalues
+    once the norm passes about 1.5e138."""
     def dotted(node):
         if isinstance(node, ast.Name):
             return node.id
@@ -648,29 +651,35 @@ def _scipy_svd_and_qr_uses(modules):
     return sorted(hits)
 
 
-def test_every_svd_and_qr_goes_through_numpy():
+def test_every_svd_qr_and_eigensolve_goes_through_numpy():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    assert _scipy_svd_and_qr_uses(modules) == []
+    assert _scipy_numpy_only_uses(modules) == []
 
 
-def test_scipy_svd_or_qr_is_reported(tmp_path):
+def test_scipy_svd_qr_or_eigensolve_is_reported(tmp_path):
     a = tmp_path / "a.py"
     a.write_text("import numpy as np\nimport scipy.linalg as la\n\n\n"
                  "def f(m):\n"
                  "    s = la.svdvals(m) + np.linalg.svd(m)[1]\n"
                  "    q, r = la.qr(m, mode='economic')\n"
-                 "    return la.schur(m), la.inv(r), la.svd, s, q\n")
+                 "    w = la.eigvals(m) + np.linalg.eigvals(m)\n"
+                 "    return la.schur(m), la.inv(r), la.svd, s, q, w\n")
     b = tmp_path / "b.py"
     b.write_text("import scipy\nfrom scipy import linalg as sla\n"
-                 "from scipy.linalg import qr as factor, eigh\n\n\n"
+                 "from scipy.linalg import qr as factor, eigh, eig\n\n\n"
                  "def g(m):\n"
                  "    return scipy.linalg.svd(m), sla.qr(m), factor(m), "
-                 "eigh(m)\n")
-    assert _scipy_svd_and_qr_uses([a, b]) == [
+                 "eigh(m)\n\n\n"
+                 "def h(m):\n"
+                 "    return eig(m), sla.eigvals(m), scipy.linalg.eig(m)\n")
+    assert _scipy_numpy_only_uses([a, b]) == [
         "a.py:6 scipy.linalg.svdvals", "a.py:7 scipy.linalg.qr",
-        "a.py:8 scipy.linalg.svd", "b.py:3 scipy.linalg.qr",
-        "b.py:7 factor", "b.py:7 scipy.linalg.qr", "b.py:7 scipy.linalg.svd"]
+        "a.py:8 scipy.linalg.eigvals", "a.py:9 scipy.linalg.svd",
+        "b.py:11 eig", "b.py:11 scipy.linalg.eig",
+        "b.py:11 scipy.linalg.eigvals", "b.py:3 scipy.linalg.eig",
+        "b.py:3 scipy.linalg.qr", "b.py:7 factor", "b.py:7 scipy.linalg.qr",
+        "b.py:7 scipy.linalg.svd"]
 
 
 def test_cli_import_leaves_out_scipy_sparse():

@@ -356,7 +356,8 @@ def test_sylvester_forms_no_kronecker_map(monkeypatch):
 
     for name in ("solve", "eigvals"):
         monkeypatch.setattr(la, name, recorded(getattr(la, name)))
-    monkeypatch.setattr(np.linalg, "svd", recorded(np.linalg.svd))
+    for name in ("svd", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
     monkeypatch.setattr(np, "kron", recorded(np.kron, of_result=True))
     rng = rand.trial_rng(71, 0)
     c, d = _sylvester_pair(rng, k, False)
@@ -605,7 +606,8 @@ def test_two_companions_verdicts_match_the_kronecker_oracle():
         k = 1 + trial % 3
         z = rotated_normal(rng, k)
         u = rand.haar_unitary(rng, k)
-        t = (u * rng.choice([-1.0, 1.0], size=k)) @ u.conj().T
+        signs = rng.choice([-1.0, 1.0], size=k)
+        t = (u * signs) @ u.conj().T
         t = (t + t.conj().T) / 2.0
         rep = tn.two_companions_demo(tn.matrix_space(2 * k), z, t)
         got = (rep.fixed_kernel, rep.transported_to_block_range)
@@ -613,6 +615,9 @@ def test_two_companions_verdicts_match_the_kronecker_oracle():
             tn.block_idempotent(z), tn.block_idempotent(t),
             la.block_diag(z, t))
         assert got == oracle == (True, True)
+        # exact: the spectrum of t is its drawn signs
+        assert rep.transported_pair_margin == (0.0 if len(set(signs)) == 2
+                                               else 2.0)
 
 
 def test_demos_reject_non_square_blocks_before_the_model_size():
