@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import IllConditionedWarning, NotIdempotent, RangeOverlap
 from .space import (
@@ -137,7 +136,7 @@ def _lproj_matrix(ws, s):
         return np.zeros((ws.dim, ws.dim), dtype=complex)
     b = s.basis
     b_dual = ws.dual(b)
-    return b @ la.solve(b_dual @ b, b_dual, assume_a="pos")
+    return b @ np.linalg.solve(b_dual @ b, b_dual)
 
 
 def compat_projection(ws, s):
@@ -171,6 +170,14 @@ def compat_margin(ws, s, t=None):
     ``C^{-1} P+``; that cross-check is skipped, with an
     :class:`IllConditionedWarning`, when ``C`` is numerically singular.
 
+    ``C`` counts as singular when ``kappa(C) > 1e12``, that is when its
+    smallest singular value is below ``c u s_max`` with ``c = 1e-12 / u``,
+    about 9e3 for ``u = 2^-53``: a solve with ``C`` is then off by ``u
+    kappa(C)``, above 1e-4, and the cross-check could not tell the routes
+    apart.  Otherwise the routes must agree to ``c u kappa(C) cond(A)``
+    with ``c = 1e-9 / u``, about 9e6: the solve adds ``kappa(C)`` and
+    ``P+ = A^{-1} P* A`` adds ``cond(A)``.
+
     Returns
     -------
     CompatReport
@@ -192,7 +199,7 @@ def compat_margin(ws, s, t=None):
             stacklevel=2,
         )
     else:
-        q_formula = la.solve(c, pair.p_plus.matrix)
+        q_formula = np.linalg.solve(c, pair.p_plus.matrix)
         residual = _spec_norm(q_formula - q)
         _require(residual,
                  1e-9 * max(1.0, kappa_c) * max(1.0, ws.weight_cond),
@@ -250,7 +257,7 @@ def buckholtz_verify(ws, s, t):
     pt = _lproj_matrix(ws, t)
     diff = ps - pt
     res1 = _spec_norm(diff @ _c_matrix(pair) - np.eye(n))
-    res2 = _spec_norm(ps @ la.inv(diff) - pair.p.matrix)
+    res2 = _spec_norm(ps @ np.linalg.inv(diff) - pair.p.matrix)
     res3 = _spec_norm(diff - (2.0 * pair.p.matrix - np.eye(n)) @ (ps + pt))
     return BuckholtzReport(
         res_inverse=res1,

@@ -6,7 +6,6 @@ run over run.
 """
 
 import numpy as np
-import scipy.linalg as la
 
 from .space import _require_positive_dim, _space_from_eigenpairs
 from .subspaces import Subspace, is_proper_companion
@@ -105,5 +104,5 @@ def random_biorthogonal_system(rng, ws, m):
     f = _complex_gauss(rng, ws.dim, m)
     k = _complex_gauss(rng, ws.dim, m)
     cross = ws.dual(k) @ f
-    h = k @ la.inv(cross).conj().T
+    h = k @ np.linalg.inv(cross).conj().T
     return f, h

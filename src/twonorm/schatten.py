@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import DimMismatch, SingularSystem
 from .space import (
@@ -301,6 +300,8 @@ def sylvester(c, d, w, force=False):
     if not c.shape == d.shape == w.shape:
         raise DimMismatch("coefficient and right-hand side shapes differ")
     k = _square_nonempty(c, "coefficients").shape[0]
+    import scipy.linalg as la
+
     tc, uc = la.schur(c, output="complex")
     td, ud = la.schur(d, output="complex")
     min_sep = float(np.abs(np.subtract.outer(np.diag(tc), np.diag(td))).min())

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import (
     DimMismatch,
@@ -352,7 +351,7 @@ def make_space(n, weight, enorm="euclid"):
     if np.count_nonzero(a) == np.count_nonzero(d):
         evals, evecs = d, None
     else:
-        evals, evecs = la.eigh(a)
+        evals, evecs = np.linalg.eigh(a)
     low, high = evals.min(), evals.max()
     if low <= TOL_PD:
         raise NotPositiveDefinite(

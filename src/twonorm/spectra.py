@@ -31,7 +31,6 @@ second quadrature.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import ContourTooClose, NotIdempotent, NotIsolated
 from .space import Operator, as_matrix, as_operator, _require, _spec_norm
@@ -183,6 +182,8 @@ def riesz_projection(ws, t, lam, eps, m=64):
                          f"got {eps}")
     if m < 16 or m % 2:
         raise ValueError("node count must be an even integer >= 16")
+    import scipy.linalg as la
+
     r, z, k = la.schur(as_matrix(t, ws), output="complex",
                        sort=lambda x: abs(x - lam) < eps)
     # sigma(T+) = conj sigma(T) in finite dimension, so the ambient
@@ -243,11 +244,15 @@ def vvplus_diagnostics(ws, q):
 
     Raises
     ------
+    ValueError
+        If ``q`` has a NaN or infinite entry.
     NotIdempotent
         If ``q`` fails the projection test at ``TOL_IDEM`` (scaled by its
         squared norm).
     """
     m = as_matrix(q, ws)
+    if not np.isfinite(m).all():
+        raise ValueError("q must have finite entries")
     _require(m @ m - m, TOL_IDEM * max(1.0, _spec_norm(m)) ** 2,
              "candidate matrix is not a projection", NotIdempotent)
     v = 2.0 * m - np.eye(ws.dim)

@@ -16,31 +16,21 @@ splitting gap, the condition number and the norm of ``P``; the range and
 kernel of ``P`` are fixed by its construction, and each subspace computes
 its weighted complement once and keeps it.
 
-Every SVD (full, thin or values only), every QR and every general
-eigensolve in the package goes through ``numpy.linalg``.  The check
-suites take dozens of them per trial on matrices of side ten or so, where
-scipy.linalg's per-call layers (its batching decorator,
-``asarray_chkfinite`` and the workspace queries) cost more than the LAPACK
-work; both libraries call the same drivers, ``gesdd``, ``geqrf``/``ungqr``
-and ``geev``, and scipy's ``eig`` and ``eigvals`` (scipy 1.17) also return
-wrong eigenvalues once the norm passes about 1.5e138.  scipy.linalg stays
-only where numpy has no routine or gives other bits: ``schur``, the
-``eigh`` of a dense weight (its ``evr`` driver), ``trsyl`` and ``trtri``
-through ``get_lapack_funcs``, the Cholesky ``solve(assume_a="pos")``,
-``inv`` (numpy's solves against the identity with ``gesv``, scipy's takes
-``getrf`` and ``getri``) and the general ``solve``, which scipy hands to
-its Hermitian solver when the matrix is exactly Hermitian; ARPACK comes
-from ``scipy.sparse.linalg``.  Without scipy's finiteness check, each
-factored matrix is finite by construction or by a check: :func:`span` and
-the range and kernel splits, which take caller data, reject a non-finite
-SVD.
+Every factorization goes through ``numpy.linalg`` but those it has no
+routine for: the complex Schur form and LAPACK's triangular ``trsyl`` and
+``trtri``.  Only :func:`~twonorm.spectra.riesz_projection` and
+:func:`~twonorm.schatten.sylvester` take them (the latter also ARPACK),
+and each imports them inside its body, so no other command loads their
+library.  numpy's SVD, QR, inverse and solve do not check their input for
+finiteness, so each matrix they factor is finite by construction or by a
+check: :func:`span` and the range and kernel splits, which take caller
+data, reject a non-finite SVD.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import (
     BiorthogonalityViolated,
@@ -330,7 +320,10 @@ def _validate_idempotent_pair(ws, p, p_plus, p_norm):
 
     Tolerances scale with ``max(1, p_norm)^2``, ``p_norm = |P|_2``, and the
     weight conditioning, so legitimately tilted pairs pass; the test suites
-    hold the unscaled contract figures.  Range and kernel hold by
+    hold the unscaled contract figures.  The tolerance is ``c u |P|_2^2
+    cond(A)`` with ``c = 1e-10 / u``, about 9e5 for the unit roundoff ``u =
+    2^-53``: the product ``P P`` rounds at ``u |P|_2^2``, and ``P+ = A^{-1}
+    P* A`` carries the factor ``cond(A)``.  Range and kernel hold by
     construction (``p`` is ``B_S X``, ``B G^-1 B* A`` or ``F H* A``), and
     so does ``p_plus``: it is ``ws.plus_matrix(p)``, ``p`` itself or
     ``H F* A``, each the plus-adjoint of ``p`` by construction.  When it is
@@ -346,7 +339,7 @@ def _validate_idempotent_pair(ws, p, p_plus, p_norm):
 
 def _block_solve_projection(s, t):
     """Idempotent with range ``s`` and nullspace ``t`` by a block solve."""
-    inv = la.inv(np.hstack([s.basis, t.basis]))
+    inv = np.linalg.inv(np.hstack([s.basis, t.basis]))
     return s.basis @ inv[: s.rank]
 
 
@@ -379,8 +372,14 @@ def oblique_projection(ws, s, t):
 
 
 def _oblique_projection(ws, s, t):
-    """:func:`oblique_projection` and the condition number of the stacked
-    bases ``[B_S | B_T]`` it was checked with."""
+    """:func:`oblique_projection` and the condition number ``kappa`` of the
+    stacked bases ``[B_S | B_T]`` it was checked with.
+
+    The two plus-adjoint routes must agree to ``c u kappa^2 cond(A)`` with
+    ``c = 1e-9 / u``, about 9e6 for ``u = 2^-53``: each block solve is off
+    by ``u kappa |P|_2``, ``|P|_2`` is at most ``kappa``, and the
+    ``A^{-1} . A`` similarity of ``P+`` adds the factor ``cond(A)``.
+    """
     svals = _stacked_svals(s, t)
     gap = float(svals[-1])
     if gap <= TOL_GAP:

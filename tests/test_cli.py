@@ -180,16 +180,16 @@ def test_demo_finite_rank_rejects_sizes_out_of_range(sizes, message, capsys):
 
 
 # per suite, the factorizations of one trial at --dim 10 (seed 0); every
-# SVD, spectral norms included, and every QR is numpy's
+# one, spectral norms included, is numpy's
 _SUITE_FACTORIZATIONS = {
     "adjoint": {"numpy.linalg.qr": 1, "numpy.linalg.svd": 3},
     "buckholtz": {"numpy.linalg.qr": 5, "numpy.linalg.svd": 6,
-                  "scipy.linalg.inv": 3, "scipy.linalg.solve": 2},
+                  "numpy.linalg.inv": 3, "numpy.linalg.solve": 2},
     "compat": {"numpy.linalg.qr": 9, "numpy.linalg.svd": 12,
-               "scipy.linalg.inv": 4, "scipy.linalg.solve": 4},
+               "numpy.linalg.inv": 4, "numpy.linalg.solve": 4},
     "gz": {"numpy.linalg.qr": 1, "numpy.linalg.svd": 3},
     "krein": {"numpy.linalg.qr": 5, "numpy.linalg.svd": 11,
-              "scipy.linalg.inv": 2, "scipy.linalg.solve": 1},
+              "numpy.linalg.inv": 2, "numpy.linalg.solve": 1},
     "lemma": {"numpy.linalg.matrix_rank": 8, "numpy.linalg.qr": 1,
               "numpy.linalg.svd": 4},
     "spectra": {"numpy.linalg.eig": 1, "numpy.linalg.qr": 1,

@@ -6,12 +6,13 @@ no statement throws away the value of a package function that returns one,
 no public name is declared by two modules, only ``matio`` imports
 ``json``, only ``cli`` imports ``matio``, ``studies`` imports no package
 module but ``errors``, only ``space`` knows how the weight is stored, no instance is made past its constructor with
-``object.__new__``, no module reaches scipy.linalg's ``svd``, ``svdvals``,
-``qr``, ``eig`` or ``eigvals``, since every SVD, QR and general eigensolve
-goes through ``numpy.linalg``, and the command line starts without
-``scipy.sparse``."""
+``object.__new__``, scipy is imported only inside functions and only for
+what numpy lacks (the Schur form, the triangular LAPACK kernels and
+ARPACK), and every command that takes no Schur form runs without loading
+scipy."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -603,89 +604,145 @@ def test_constructor_bypass_is_reported(tmp_path):
                                           "a.py:8 object.__new__"]
 
 
-_NUMPY_ONLY = ("svd", "svdvals", "qr", "eig", "eigvals")
+_SCIPY_ALLOWED = ("scipy.linalg.schur", "scipy.linalg.get_lapack_funcs",
+                  "scipy.sparse.linalg.LinearOperator",
+                  "scipy.sparse.linalg.eigsh")
 
 
-def _scipy_numpy_only_uses(modules):
-    """References to scipy.linalg's ``svd``, ``svdvals``, ``qr``, ``eig`` or
-    ``eigvals``, through any name the module binds: ``la.svd`` after
-    ``import scipy.linalg as la``, ``scipy.linalg.qr``, ``linalg.svdvals``
-    after ``from scipy import linalg``, or a name imported ``from
-    scipy.linalg``.  Per call they cost more than LAPACK's work on the
-    package's small matrices, and ``numpy.linalg`` runs the same drivers;
-    scipy's general eigensolves (scipy 1.17) also return wrong eigenvalues
-    once the norm passes about 1.5e138."""
-    def dotted(node):
+def _scipy_uses_outside_the_allowlist(modules):
+    """Every scipy import outside a function body, and every scipy name the
+    package reaches but the four of ``_SCIPY_ALLOWED``, through any binding:
+    ``la.inv`` after ``import scipy.linalg as la``, ``scipy.linalg.solve``,
+    ``linalg.eigh`` after ``from scipy import linalg``, or a name imported
+    ``from scipy.linalg``.  numpy.linalg runs every factorization it has a
+    routine for; scipy is left with the Schur form, the triangular LAPACK
+    kernels and ARPACK, and is imported only by the functions that take
+    them, so that no other command loads it.  A bare binding of a scipy
+    module counts as a use, so ``getattr(la, name)`` is reported too."""
+    def dotted(node, bound):
         if isinstance(node, ast.Name):
-            return node.id
+            return bound.get(node.id)
         if isinstance(node, ast.Attribute):
-            head = dotted(node.value)
+            head = dotted(node.value, bound)
             return head and f"{head}.{node.attr}"
         return None
+
+    def on_the_way(target):
+        return target in _SCIPY_ALLOWED or any(
+            name.startswith(target + ".") for name in _SCIPY_ALLOWED)
 
     hits = []
     for path in modules:
         tree = ast.parse(path.read_text())
-        scipy_linalg, routines = {"scipy.linalg"}, set()
+        in_function = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       for node in ast.walk(fn)}
+        bound = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                scipy_linalg.update(alias.asname for alias in node.names
-                                    if alias.name == "scipy.linalg"
-                                    and alias.asname)
+                pairs = [(alias.asname, alias.name) if alias.asname
+                         else (alias.name.split(".")[0],) * 2
+                         for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                for alias in node.names:
-                    if node.module == "scipy" and alias.name == "linalg":
-                        scipy_linalg.add(alias.asname or "linalg")
-                    elif node.module == "scipy.linalg" \
-                            and alias.name in _NUMPY_ONLY:
-                        routines.add(alias.asname or alias.name)
-                        hits.append(f"{path.name}:{node.lineno} "
-                                    f"scipy.linalg.{alias.name}")
+                pairs = [(alias.asname or alias.name,
+                          f"{node.module}.{alias.name}")
+                         for alias in node.names]
+            else:
+                continue
+            pairs = [(name, target) for name, target in pairs
+                     if target.split(".")[0] == "scipy"]
+            if pairs and id(node) not in in_function:
+                hits.append(f"{path.name}:{node.lineno} scipy imported "
+                            f"outside a function")
+            for name, target in pairs:
+                bound[name] = target
+                if not on_the_way(target):
+                    hits.append(f"{path.name}:{node.lineno} {target}")
+        inner = {id(node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr in _NUMPY_ONLY \
-                    and dotted(node.value) in scipy_linalg:
-                hits.append(f"{path.name}:{node.lineno} "
-                            f"scipy.linalg.{node.attr}")
-            elif isinstance(node, ast.Name) and node.id in routines:
-                hits.append(f"{path.name}:{node.lineno} {node.id}")
+            if id(node) in inner:
+                continue
+            target = dotted(node, bound)
+            if target and target not in _SCIPY_ALLOWED:
+                hits.append(f"{path.name}:{node.lineno} {target}")
     return sorted(hits)
 
 
-def test_every_svd_qr_and_eigensolve_goes_through_numpy():
+def test_scipy_only_where_numpy_has_no_routine():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    assert _scipy_numpy_only_uses(modules) == []
+    assert _scipy_uses_outside_the_allowlist(modules) == []
 
 
-def test_scipy_svd_qr_or_eigensolve_is_reported(tmp_path):
+def test_scipy_outside_the_allowlist_is_reported(tmp_path):
     a = tmp_path / "a.py"
     a.write_text("import numpy as np\nimport scipy.linalg as la\n\n\n"
                  "def f(m):\n"
-                 "    s = la.svdvals(m) + np.linalg.svd(m)[1]\n"
-                 "    q, r = la.qr(m, mode='economic')\n"
-                 "    w = la.eigvals(m) + np.linalg.eigvals(m)\n"
-                 "    return la.schur(m), la.inv(r), la.svd, s, q, w\n")
+                 "    s = np.linalg.svd(m)[1] + np.linalg.inv(m)\n"
+                 "    w = la.inv(m) + la.solve(m, m, assume_a='pos')\n"
+                 "    q, r = la.qr(m)\n"
+                 "    e = la.eigvals(m) + la.svdvals(m) + np.linalg.eigvals(m)\n"
+                 "    return la.schur(m), la.eigh(m), la.svd, s, w, q, e\n")
     b = tmp_path / "b.py"
-    b.write_text("import scipy\nfrom scipy import linalg as sla\n"
-                 "from scipy.linalg import qr as factor, eigh, eig\n\n\n"
-                 "def g(m):\n"
-                 "    return scipy.linalg.svd(m), sla.qr(m), factor(m), "
-                 "eigh(m)\n\n\n"
-                 "def h(m):\n"
-                 "    return eig(m), sla.eigvals(m), scipy.linalg.eig(m)\n")
-    assert _scipy_numpy_only_uses([a, b]) == [
-        "a.py:6 scipy.linalg.svdvals", "a.py:7 scipy.linalg.qr",
-        "a.py:8 scipy.linalg.eigvals", "a.py:9 scipy.linalg.svd",
-        "b.py:11 eig", "b.py:11 scipy.linalg.eig",
-        "b.py:11 scipy.linalg.eigvals", "b.py:3 scipy.linalg.eig",
-        "b.py:3 scipy.linalg.qr", "b.py:7 factor", "b.py:7 scipy.linalg.qr",
-        "b.py:7 scipy.linalg.svd"]
+    b.write_text("import scipy\nfrom scipy.linalg import qr as factor\n\n\n"
+                 "def g(m, name):\n"
+                 "    from scipy import linalg as sla\n"
+                 "    from scipy.sparse.linalg import LinearOperator, eigsh, svds\n"
+                 "    return (scipy.linalg.eig(m), sla.get_lapack_funcs('trsyl'),\n"
+                 "            factor(m), eigsh, svds, LinearOperator,\n"
+                 "            getattr(sla, name))\n\n\n"
+                 "class C:\n"
+                 "    from scipy.linalg import schur\n")
+    assert _scipy_uses_outside_the_allowlist([a, b]) == [
+        "a.py:10 scipy.linalg.eigh", "a.py:10 scipy.linalg.svd",
+        "a.py:2 scipy imported outside a function",
+        "a.py:7 scipy.linalg.inv", "a.py:7 scipy.linalg.solve",
+        "a.py:8 scipy.linalg.qr", "a.py:9 scipy.linalg.eigvals",
+        "a.py:9 scipy.linalg.svdvals",
+        "b.py:1 scipy imported outside a function",
+        "b.py:10 scipy.linalg",
+        "b.py:14 scipy imported outside a function",
+        "b.py:2 scipy imported outside a function",
+        "b.py:2 scipy.linalg.qr", "b.py:7 scipy.sparse.linalg.svds",
+        "b.py:8 scipy.linalg.eig", "b.py:9 scipy.linalg.qr",
+        "b.py:9 scipy.sparse.linalg.svds"]
 
 
-def test_cli_import_leaves_out_scipy_sparse():
-    """ARPACK, which only the Sylvester margin uses, is imported inside
-    ``schatten.sylvester``: at module level ``scipy.sparse.linalg`` would
-    add about 30 ms and 2 MB to the start of every command."""
-    code = "import sys, twonorm.cli; sys.exit('scipy.sparse' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], timeout=60)
-    assert done.returncode == 0
+# commands that take no Schur form, each checked after it has run, and
+# the two that take one
+_SCIPY_FREE = (["check", "compat", "--dim", "10", "--trials", "2"],
+               ["demo", "cq", "--z", "diag:1,2"],
+               ["study", "diverge", "--beta", "0.3"],
+               ["demo", "finite_rank"])
+_SCIPY_USERS = (["riesz", "--t", "diag:1,2", "--lambda", "1", "--eps", "0.4"],
+                ["demo", "sylvester", "--c", "diag:1,2", "--d", "diag:3,4",
+                 "--w", "diag:1,1"])
+
+
+def test_commands_without_a_schur_form_leave_out_scipy():
+    """Importing the command line, and then running a ``check``, a
+    ``study`` and the ``demo`` commands that take no Schur form, loads no
+    scipy module, ``scipy.sparse`` included; the two commands that take
+    one, run after them in the same process, still exit 0."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import twonorm.cli as cli\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "rows = [[None, None, scipy_loaded()]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    rows.append([argv, code, scipy_loaded()])\n"
+        "print(json.dumps(rows))\n")
+    argvs = [*_SCIPY_FREE, *_SCIPY_USERS]
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)
+    free = len(_SCIPY_FREE) + 1
+    assert rows[:free] == [[None, None, False]] + \
+        [[argv, 0, False] for argv in _SCIPY_FREE]
+    assert [row[:2] for row in rows[free:]] == \
+        [[argv, 0] for argv in _SCIPY_USERS]

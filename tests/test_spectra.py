@@ -1,6 +1,7 @@
 """Spectra across algebras and contour-integral spectral projections."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ def test_vvplus_rejects_non_idempotents():
     ws = euclid2()
     with pytest.raises(NotIdempotent):
         tn.vvplus_diagnostics(ws, np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vvplus_rejects_a_non_finite_q_before_any_product(bad):
+    """A NaN or infinite entry is named at entry, with no warning from the
+    idempotency product and no convergence error from its norm."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^q must have finite entries$"):
+            tn.vvplus_diagnostics(euclid2(), np.diag([bad, 1.0]))
 
 
 def test_check_spectra_trial_factors_the_ambient_matrix_once(monkeypatch,
