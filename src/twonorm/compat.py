@@ -156,7 +156,7 @@ def compat_projection(ws, s):
         nullspace, the weighted complement of ``s``, are not formed.
     """
     q = _lproj_matrix(ws, s)
-    _validate_idempotent_pair(ws, q, q, _spec_norm(q))
+    _validate_idempotent_pair(ws, q, q)
     op = Operator(q, ws)
     return ProjPair(op, op)
 

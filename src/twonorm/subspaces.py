@@ -132,7 +132,13 @@ class ProjPair:
 
 @dataclass(frozen=True)
 class CompanionReport:
-    """Splitting quality of a subspace pair and of its weighted complements."""
+    """Splitting quality of a subspace pair and of its weighted complements.
+
+    ``gap`` is the stacked-basis gap of the pair.  ``complement_gap`` is
+    a certified lower bound on the complement pair's gap, exact when
+    :func:`is_proper_companion` factored that pair; otherwise it is the
+    bound ``sin(theta_min) / (sqrt(2) cond(A))`` that decided the verdict.
+    """
 
     gap: float
     complement_gap: float
@@ -315,7 +321,7 @@ def subspace_equal(s1, s2):
     return max_principal_angle(s1, s2) <= TOL_ANGLE
 
 
-def _validate_idempotent_pair(ws, p, p_plus, p_norm):
+def _validate_idempotent_pair(ws, p, p_plus, p_norm=None):
     """Idempotency checks for a freshly built projection pair.
 
     Tolerances scale with ``max(1, p_norm)^2``, ``p_norm = |P|_2``, and the
@@ -328,13 +334,23 @@ def _validate_idempotent_pair(ws, p, p_plus, p_norm):
     so does ``p_plus``: it is ``ws.plus_matrix(p)``, ``p`` itself or
     ``H F* A``, each the plus-adjoint of ``p`` by construction.  When it is
     ``p`` itself, ``p`` is checked once.
+
+    A caller that holds ``|P|_2`` for free passes it.  Otherwise it is
+    taken, by one SVD, only when a residual's Frobenius norm exceeds
+    ``1e-10 max(1, cond(A))``, the tolerance at ``|P|_2 <= 1``: below it
+    every scale passes, since the spectral norm is never larger.
     """
-    scale = max(1.0, p_norm) ** 2 * max(1.0, ws.weight_cond)
-    _require(p @ p - p, 1e-10 * scale,
-             "projection failed the idempotency check")
+    cond = max(1.0, ws.weight_cond)
+    checks = [(p, "projection failed the idempotency check")]
     if p_plus is not p:
-        _require(p_plus @ p_plus - p_plus, 1e-10 * scale,
-                 "plus-adjoint failed the idempotency check")
+        checks.append((p_plus, "plus-adjoint failed the idempotency check"))
+    for m, what in checks:
+        residual = m @ m - m
+        if p_norm is None:
+            if np.linalg.norm(residual) <= 1e-10 * cond:
+                continue
+            p_norm = _spec_norm(p)
+        _require(residual, 1e-10 * max(1.0, p_norm) ** 2 * cond, what)
 
 
 def _block_solve_projection(s, t):
@@ -393,21 +409,50 @@ def _oblique_projection(ws, s, t):
     _require(p_plus - p_indep,
              1e-9 * max(1.0, kappa ** 2) * max(1.0, ws.weight_cond),
              "plus-adjoint routes disagree")
-    # |P|_2 = 1 / sin(theta_min) and gap^2 = 1 - cos(theta_min) for the
-    # smallest angle between s and t (Szyld, Numer. Algorithms 42, 2006)
-    p_norm = 1.0 / (gap * np.sqrt(2.0 - gap * gap))
+    p_norm = 1.0 / _sin_min_angle(gap)
     _validate_idempotent_pair(ws, p, p_plus, p_norm)
     return ProjPair(Operator(p, ws), Operator(p_plus, ws)), kappa
+
+
+def _sin_min_angle(gap):
+    """``sin(theta_min)`` for the smallest angle between a pair with
+    stacked-basis gap ``gap``: ``gap^2 = 1 - cos(theta_min)``, and the
+    projection onto one along the other has ``|P|_2 = 1 / sin(theta_min)``
+    (Szyld, Numer. Algorithms 42, 2006)."""
+    return gap * np.sqrt(2.0 - gap * gap)
 
 
 def is_proper_companion(ws, s, t, tol_gap=TOL_GAP):
     """Whether a pair splits the space together with its weighted complements.
 
-    Both the pair itself and the complement pair must have a positive
-    stacked-basis gap; this is the finite-dimensional form of the companion
-    relation behind every projection built here.
+    Both the pair itself and the complement pair must have a stacked-basis
+    gap above ``tol_gap``; this is the finite-dimensional form of the
+    companion relation behind every projection built here.
+
+    The complement pair is the range and kernel of ``P+ = A^{-1} P* A``
+    for the projection ``P`` onto ``s`` along ``t``, so its gap has a lower
+    bound in the pair's gap ``g`` and ``cond(A)`` (Szyld, Numer.
+    Algorithms 42, 2006):
+
+    - ``sin(theta_min) = g sqrt(2 - g^2)``, since ``g^2 = 1 -
+      cos(theta_min)`` for the smallest angle between ``s`` and ``t``;
+    - ``|P+|_2 <= cond(A) |P|_2 = cond(A) / sin(theta_min)``;
+    - the complement pair's gap ``g'`` has ``g'^2 = 1 - cos(theta') >=
+      sin(theta')^2 / 2``, and ``|P+|_2 = 1 / sin(theta')``.
+
+    So ``g' >= b = g sqrt(2 - g^2) / (sqrt(2) cond(A))``; when ``P+`` is
+    0 or ``I`` a complement is zero and ``g' = 1 > b``.  When ``b``
+    exceeds ``2 tol_gap`` the pair passes on the bound, and neither
+    weighted complement is formed or factored: the computed gap ``g'``
+    would fall to ``tol_gap`` only if its own rounding exceeded half the
+    certificate.  Otherwise the complement pair is factored as well.
+    ``complement_gap`` is thus a lower bound on ``g'`` in both cases:
+    ``b`` when it decided, ``g'`` itself when the pair was factored.
     """
     gap = direct_sum_gap(s, t)
+    bound = _sin_min_angle(gap) / (np.sqrt(2.0) * ws.weight_cond)
+    if bound > 2.0 * tol_gap:
+        return CompanionReport(gap=gap, complement_gap=float(bound), ok=True)
     comp_gap = direct_sum_gap(t.complement, s.complement)
     ok = gap > tol_gap and comp_gap > tol_gap
     return CompanionReport(gap=gap, complement_gap=comp_gap, ok=bool(ok))
@@ -478,7 +523,7 @@ def finite_rank_proper_projection(ws, f_list, h_list):
         )
     p = f @ h_dual
     p_plus = h @ ws.dual(f)
-    _validate_idempotent_pair(ws, p, p_plus, _spec_norm(p))
+    _validate_idempotent_pair(ws, p, p_plus)
     return ProjPair(Operator(p, ws), Operator(p_plus, ws))
 
 

@@ -16,7 +16,7 @@ from twonorm.errors import (
 )
 from twonorm.space import _spec_norm
 
-from conftest import count_calls, modest_space
+from conftest import FACTORIZATIONS, count_calls, modest_space
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -390,6 +390,143 @@ def test_is_proper_companion_reports():
     assert not bad.ok
 
 
+# A near-floor pair, written out so that it outlives any change to how
+# ``rand`` draws: ``rng = rand.trial_rng(61, 458)``, n = 5 from
+# ``rng.integers(3, 13)``, ``modest_space(rng, 5, floor=1e-11)`` (cond A =
+# 4.45e6), r = 2 from ``rng.integers(1, 5)``, then s and t1 from two
+# ``rand.random_companion_pair(rng, ws, 2, attempts=50)`` calls (t1 from
+# the second, gap-checked against a discarded partner).  (t1, s) has gap
+# 0.134 and complement gap 6.9e-8, so ``|P|_2 = 5.3`` and ``|P+|_2 =
+# 1.0e7``.
+_FLOOR_W = np.array([
+    [0.13522620505803634+0.0j,
+     -0.028815394336291895+0.050513907114765534j,
+     -0.01631785020533567-0.13502987566986868j,
+     0.10235835057477119-0.0032490267304425557j,
+     0.01739487647391438-0.023582167065142583j],
+    [-0.028815394336291895-0.050513907114765534j,
+     0.15423468317126288+0.0j,
+     0.008215672748230866-0.0008237788533479659j,
+     -0.003005999285633401+0.20252336295729825j,
+     0.1736081615427675-0.008863120941928381j],
+    [-0.01631785020533567+0.13502987566986868j,
+     0.008215672748230866+0.0008237788533479659j,
+     0.1745485068164442+0.0j,
+     -0.06271656767085715+0.21979503896584723j,
+     0.10818837533403035+0.07233148147733198j],
+    [0.10235835057477119+0.0032490267304425557j,
+     -0.003005999285633401-0.20252336295729825j,
+     -0.06271656767085715-0.21979503896584723j,
+     0.5505148988803128+0.0j,
+     0.04227406528396024-0.37175392424156933j],
+    [0.01739487647391438+0.023582167065142583j,
+     0.1736081615427675+0.008863120941928381j,
+     0.10818837533403035-0.07233148147733198j,
+     0.04227406528396024+0.37175392424156933j,
+     0.2847331511323853+0.0j],
+])
+_FLOOR_BS = np.array([
+    [-0.13717928887338027+0.2319519170628453j,
+     -0.36136520888388485+0.6315308425278302j],
+    [0.17981316018735338+0.541843536381973j,
+     -0.17974736752148673+0.14822043940341817j],
+    [-0.34807785494999194-0.12111994646510615j,
+     -0.12730411296601624+0.2567909239737397j],
+    [0.3498651263024447-0.5634711229773821j,
+     -0.1559191847773962+0.3843841542158137j],
+    [-0.12710879631771713+0.09778939977280135j,
+     0.17114464490723696+0.3644244646959358j],
+])
+_FLOOR_BT1 = np.array([
+    [-0.05641520468209915-0.4445613229602246j,
+     -0.4255450322448369+0.3863564626896141j,
+     -0.07836518088769794-0.17561340083056906j],
+    [0.29668796896559296+0.31446803501720505j,
+     -0.5957362277842161-0.07168724092565318j,
+     -0.037331000072398916-0.21813852516608737j],
+    [0.48742196758079354+0.10328899685729459j,
+     0.11434998587963961-0.1024072750301038j,
+     -0.45567915752034266+0.5181326929281961j],
+    [0.4444953352952449+0.38562841687003896j,
+     0.27026157547249147+0.448164361753506j,
+     0.5282112875336344-0.14813378605031927j],
+    [-0.10410569870454105+0.08304512014692311j,
+     -0.10695080730579382-0.026554414090364187j,
+     -0.15418330409247136-0.33647073566245334j],
+])
+
+
+def _near_floor_pair():
+    ws = tn.make_space(5, _FLOOR_W)
+    return ws, tn.Subspace(_FLOOR_BS, ws), tn.Subspace(_FLOOR_BT1, ws)
+
+
+@pytest.mark.xfail(strict=True, raises=ArithmeticError, reason=(
+    "the plus-adjoint's idempotency tolerance scales with max(1, |P|_2)^2, "
+    "but |P+|_2 reaches cond(A) |P|_2: the check raises at 2.264e-02 > "
+    "1.252e-02 on a residual of 1.96 u |P+|_2^2"))
+def test_oblique_projection_near_the_floor_is_idempotent_at_its_rounding():
+    """Each of P and P+ squares to itself to the rounding of one product,
+    ``4 n u |M|_2^2``: they read 1.0 and 1.96 ``u |M|_2^2``."""
+    ws, s, t1 = _near_floor_pair()
+    pair = tn.oblique_projection(ws, t1, s)
+    u = np.finfo(float).eps / 2
+    for m in (pair.p.matrix, pair.p_plus.matrix):
+        assert _spec_norm(m @ m - m) <= 4 * ws.dim * u * _spec_norm(m) ** 2
+
+
+def _assert_complement_certificate_sound(ws, s, t):
+    """The bound ``b`` that :func:`is_proper_companion` reads is at most
+    the factored complement gap, up to ``8 n u`` for the rounding of its
+    SVD, and the verdict matches the factored route's at ``tol_gap`` of
+    0.25, 0.5, 1 and 2 times ``b``.  Only the first clears the ``2
+    tol_gap`` margin, so the others take the factored route."""
+    gap = tn.direct_sum_gap(s, t)
+    exact = tn.direct_sum_gap(t.complement, s.complement)
+    bound = subspaces._sin_min_angle(gap) / (np.sqrt(2.0) * ws.weight_cond)
+    assert bound <= exact + 8 * ws.dim * np.finfo(float).eps / 2
+    for scale in (0.25, 0.5, 1.0, 2.0):
+        tol = scale * bound
+        fresh_s, fresh_t = tn.Subspace(s.basis, ws), tn.Subspace(t.basis, ws)
+        rep = tn.is_proper_companion(ws, fresh_s, fresh_t, tol_gap=tol)
+        assert rep.ok == (gap > tol and exact > tol)
+        on_bound = scale < 0.5
+        assert rep.complement_gap == (bound if on_bound else exact)
+        # the bound's verdict forms neither weighted complement
+        assert ("complement" in vars(fresh_s)) is not on_bound
+        assert ("complement" in vars(fresh_t)) is not on_bound
+
+
+@st.composite
+def _certificate_draw(draw):
+    """Dimension n in 2..12, a rank in 1..n-1, a weight floor 10^e with e
+    uniform in [-12, 0], and a seed for the draws."""
+    n = draw(st.integers(2, 12))
+    return (n, draw(st.integers(1, n - 1)), draw(st.floats(-12.0, 0.0)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_certificate_draw())
+def test_complement_certificate_is_sound(drawn):
+    n, r, floor_exp, seed = drawn
+    rng = np.random.default_rng(seed)
+    ws = modest_space(rng, n, floor=10.0 ** floor_exp)
+    s = rand.random_subspace(rng, ws, r)
+    t = rand.random_subspace(rng, ws, n - r)
+    _assert_complement_certificate_sound(ws, s, t)
+
+
+def test_complement_certificate_on_the_near_floor_pair():
+    """``b = 3.0e-8`` against a factored complement gap of 6.9e-8, so at
+    ``rand``'s ``min_gap`` of 1e-6 the factored route runs and rejects."""
+    ws, s, t1 = _near_floor_pair()
+    _assert_complement_certificate_sound(ws, t1, s)
+    rep = tn.is_proper_companion(ws, t1, s, tol_gap=1e-6)
+    assert not rep.ok
+    assert rep.complement_gap == pytest.approx(6.93e-8, rel=1e-3)
+
+
 def test_gram_schmidt_produces_weighted_orthonormal_columns():
     ws = tn.make_space(4, np.diag([1.0, 0.5, 1.0 / 3.0, 0.25]))
     rng = rand.trial_rng(31, 0)
@@ -451,6 +588,51 @@ def test_finite_rank_projection_returns_near_the_weight_floor():
     assert _spec_norm(p @ p - p) <= tol
     assert _spec_norm(p_plus @ p_plus - p_plus) <= tol
     assert np.array_equal(p_plus, h @ (f.conj().T @ ws.weight))
+
+
+def test_finite_rank_projection_takes_no_svd(monkeypatch):
+    """The idempotency residuals of a random system clear ``1e-10
+    max(1, cond A)``, the tolerance at ``|P|_2 <= 1``, so ``|P|_2`` is not
+    taken."""
+    rng = rand.trial_rng(55, 4)
+    ws = rand.random_space(rng, 8)
+    f, h = rand.random_biorthogonal_system(rng, ws, 3)
+    calls = count_calls(monkeypatch, FACTORIZATIONS)
+    tn.finite_rank_proper_projection(ws, f, h)
+    assert calls == {}
+
+
+def test_finite_rank_projection_takes_one_svd_for_a_tilted_system(
+        monkeypatch):
+    """Tilting each ``h_i`` by ``1e6`` times a vector weighted-orthogonal
+    to every ``f_i`` keeps the system biorthogonal and raises ``|P|_2`` to
+    about 1e6, so the residual fails the Frobenius test at ``|P|_2 <= 1``:
+    ``|P|_2`` is taken once, and the scaled tolerance passes."""
+    rng = rand.trial_rng(55, 5)
+    ws = rand.random_space(rng, 6)
+    f, h = rand.random_biorthogonal_system(rng, ws, 2)
+    tilt = tn.span(ws, f).complement.basis[:, :1]
+    h = h + 1e6 * tilt
+    calls = count_calls(monkeypatch, FACTORIZATIONS)
+    pair = tn.finite_rank_proper_projection(ws, f, h)
+    assert calls == {"numpy.linalg.svd": 1}
+    q = pair.p.matrix
+    assert np.linalg.norm(q @ q - q) > 1e-10 * max(1.0, ws.weight_cond)
+
+
+def test_finite_rank_projection_failure_reports_the_scaled_tolerance():
+    """Families off biorthogonality by 5e-9, inside ``TOL_BIO``, fail the
+    idempotency check; the message carries the spectral residual against
+    ``1e-10 max(1, |P|_2)^2 max(1, cond A)``."""
+    ws = tn.make_space(4, np.eye(4))
+    f, _ = np.linalg.qr(rand._complex_gauss(rand.trial_rng(55, 6), 4, 2))
+    h = f * (1.0 + 5e-9)
+    p = f @ ws.dual(h)
+    res, tol = _spec_norm(p @ p - p), 1e-10 * max(1.0, _spec_norm(p)) ** 2
+    with pytest.raises(ArithmeticError) as raised:
+        tn.finite_rank_proper_projection(ws, f, h)
+    assert str(raised.value) == \
+        f"projection failed the idempotency check ({res:.3e} > {tol:.3e})"
 
 
 def test_finite_rank_projection_rank_one():
