@@ -204,11 +204,11 @@ def cmd_demo_finite_rank(args):
         "plus_res": _spec_norm(ws.plus_matrix(q) - pair.p_plus.matrix),
         "range_dim": f.shape[1],  # H* A F = I: the f_i span the range
     }
-    # the scale max(1, |q|)^2 max(1, cond A) is at least 1, so |q|_2 is
-    # taken only when the residual is over the bare tolerance
+    # the scale max(1, |q|)^2 cond A is at least 1, so |q|_2 is taken only
+    # when the residual is over the bare tolerance
     res = report["idempotency_res"]
     ok = res <= args.tol or res <= args.tol * max(
-        1.0, _spec_norm(q)) ** 2 * max(1.0, ws.weight_cond)
+        1.0, _spec_norm(q)) ** 2 * ws.weight_cond
     return report, _one_row(report), ok
 
 

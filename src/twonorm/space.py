@@ -263,16 +263,25 @@ class GzReport:
 
 def as_matrix(t, ws):
     """Accept an :class:`Operator` or a raw array on ``ws`` and return the
-    matrix."""
-    if isinstance(t, Operator):
+    matrix; an :class:`Operator` on a space of another dimension raises
+    :class:`DimMismatch`, as a raw array of that size does."""
+    if isinstance(t, Operator) and t.space.dim == ws.dim:
         return t.matrix
-    return _as_matrix(t, ws.dim, "operator matrix")
+    m = t.matrix if isinstance(t, Operator) else t
+    return _as_matrix(m, ws.dim, "operator matrix")
 
 
 def as_operator(t, ws):
     """Accept an :class:`Operator` or a raw array on ``ws`` and return an
-    :class:`Operator`, so that what it caches is computed once."""
-    return t if isinstance(t, Operator) else Operator(t, ws)
+    :class:`Operator` on ``ws``, so that what it caches is computed once.
+
+    An :class:`Operator` is returned as it is only when it lives on ``ws``
+    itself; on another space its cached plus-adjoint and eigenvalues would
+    be that space's, so its matrix is read again in ``ws``.
+    """
+    if isinstance(t, Operator) and t.space is ws:
+        return t
+    return Operator(t.matrix if isinstance(t, Operator) else t, ws)
 
 
 def _require_positive_dim(n):

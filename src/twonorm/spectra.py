@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourTooClose, NotIdempotent, NotIsolated
-from .space import Operator, as_matrix, as_operator, _require, _spec_norm
-from .subspaces import TOL_IDEM, ProjPair
+from .errors import ContourTooClose, NotIsolated
+from .space import Operator, as_matrix, as_operator, _spec_norm
+from .subspaces import ProjPair, _require_projection
 
 __all__ = [
     "SpectrumReport",
@@ -253,8 +253,7 @@ def vvplus_diagnostics(ws, q):
     m = as_matrix(q, ws)
     if not np.isfinite(m).all():
         raise ValueError("q must have finite entries")
-    _require(m @ m - m, TOL_IDEM * max(1.0, _spec_norm(m)) ** 2,
-             "candidate matrix is not a projection", NotIdempotent)
+    _require_projection(m, _spec_norm(m))
     v = 2.0 * m - np.eye(ws.dim)
     v_plus = ws.plus_matrix(v)
     spec = np.sort_complex(np.linalg.eigvals(v @ v_plus))

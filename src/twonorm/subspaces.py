@@ -37,6 +37,7 @@ from .errors import (
     DependentInput,
     DimMismatch,
     NotComplementary,
+    NotIdempotent,
 )
 from .space import (
     Operator,
@@ -77,6 +78,14 @@ TOL_ANGLE = 1e-8
 TOL_BIO = 1e-8
 # |Q^2 - Q|_2 of a candidate projection; relative to max(1, |Q|_2)^2
 TOL_IDEM = 1e-8
+
+
+def _require_projection(m, m_norm):
+    """Raise :class:`NotIdempotent` unless a candidate projection ``m``
+    with spectral norm ``m_norm`` has ``|m^2 - m|_2 <= TOL_IDEM max(1,
+    m_norm)^2``."""
+    _require(m @ m - m, TOL_IDEM * max(1.0, m_norm) ** 2,
+             "candidate matrix is not a projection", NotIdempotent)
 
 
 @dataclass(frozen=True)
@@ -214,11 +223,10 @@ def _range_kernel(ws, mat, cut):
     The rank counts the singular values above ``cut(sv)``, where ``sv`` is
     in descending order, so the range and kernel dimensions add up to
     ``n``.  The rule is the one parameter because the callers split
-    different matrices: :func:`_span_cut` for any matrix,
-    :func:`_idempotent_cut` for a candidate projection and
-    ``compat._matrix_rank_cut`` where rank counts must agree with
-    ``numpy.linalg.matrix_rank``.  A matrix with a NaN or infinite entry
-    raises ``ValueError``.
+    different matrices: :func:`_span_cut` for any matrix
+    (:func:`nullspace_plus_check`) and :func:`_idempotent_cut` for a
+    candidate projection (:func:`twonorm.compat.krein_check`).  A matrix
+    with a NaN or infinite entry raises ``ValueError``.
     """
     u, sv, vh = np.linalg.svd(mat)
     _require_finite(sv, "matrix")
@@ -337,10 +345,12 @@ def _validate_idempotent_pair(ws, p, p_plus, p_norm=None):
 
     A caller that holds ``|P|_2`` for free passes it.  Otherwise it is
     taken, by one SVD, only when a residual's Frobenius norm exceeds
-    ``1e-10 max(1, cond(A))``, the tolerance at ``|P|_2 <= 1``: below it
-    every scale passes, since the spectral norm is never larger.
+    ``1e-10 cond(A)``, the tolerance at ``|P|_2 <= 1``: below it every
+    scale passes, since the spectral norm is never larger; ``cond(A)``, a
+    ratio of the largest to the smallest weight eigenvalue, is at least
+    one.
     """
-    cond = max(1.0, ws.weight_cond)
+    cond = ws.weight_cond
     checks = [(p, "projection failed the idempotency check")]
     if p_plus is not p:
         checks.append((p_plus, "plus-adjoint failed the idempotency check"))
@@ -406,8 +416,7 @@ def _oblique_projection(ws, s, t):
     p = _block_solve_projection(s, t)
     p_plus = ws.plus_matrix(p)
     p_indep = _block_solve_projection(t.complement, s.complement)
-    _require(p_plus - p_indep,
-             1e-9 * max(1.0, kappa ** 2) * max(1.0, ws.weight_cond),
+    _require(p_plus - p_indep, 1e-9 * kappa ** 2 * ws.weight_cond,
              "plus-adjoint routes disagree")
     p_norm = 1.0 / _sin_min_angle(gap)
     _validate_idempotent_pair(ws, p, p_plus, p_norm)

@@ -418,31 +418,122 @@ def test_algebraic_lemma_random_disjoint_low_rank():
     assert rep.agree and rep.one_sided
 
 
-def test_algebraic_lemma_factors_each_operand_once(monkeypatch):
-    """One SVD per operand gives its rank and kernel: 2 SVDs plus 4 rank
-    counts (stack, kernel stack, sum, one-sided), and no null_space."""
+def test_algebraic_lemma_takes_six_rank_counts(monkeypatch):
+    """Every figure is a rank count: the two operands, their column and row
+    stacks, their sum and the one-sided stack; no SVD with vectors and no
+    null_space builds a kernel basis."""
     calls = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        calls.append("rank")
+        return rank(*args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("null_space refactors an operand")
+        raise AssertionError("a kernel basis is built")
 
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    rank = np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(la, "null_space", refuse)
-    monkeypatch.setattr(np.linalg, "matrix_rank",
-                        counted("rank", np.linalg.matrix_rank))
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
     rng = rand.trial_rng(60, 2)
     ws = tn.make_space(6, np.diag(np.linspace(1.0, 0.4, 6)))
     t1 = rand._complex_gauss(rng, 6, 2) @ rand._complex_gauss(rng, 2, 6)
     t2 = rand._complex_gauss(rng, 6, 2) @ rand._complex_gauss(rng, 2, 6)
     rep = tn.algebraic_lemma_check(ws, t1, t2)
     assert rep.agree
-    assert sorted(calls) == ["rank"] * 4 + ["svd"] * 2
+    assert calls == ["rank"] * 6
+
+
+def _lemma_from_kernel_bases(m1, m2):
+    """Reference for :func:`algebraic_lemma_check`: the kernel side counted
+    as the rank of the stacked kernel bases, each read from a full SVD of
+    its operand under ``matrix_rank``'s cut ``s_max n u``."""
+    n = m1.shape[0]
+    ranks, kernels = [], []
+    for m in (m1, m2):
+        _, sv, vh = np.linalg.svd(m)
+        r = int(np.sum(sv > sv[0] * n * np.finfo(sv.dtype).eps))
+        ranks.append(r)
+        kernels.append(vh[r:].conj().T)
+    r1, r2 = ranks
+    r_stack = int(np.linalg.matrix_rank(np.hstack([m1, m2])))
+    if r_stack < r1 + r2:
+        raise RangeOverlap(
+            f"ranges share a subspace of dimension {r1 + r2 - r_stack}"
+        )
+    nulls = np.hstack(kernels)
+    lhs = (int(np.linalg.matrix_rank(nulls)) if nulls.size else 0) == n
+    r_sum = int(np.linalg.matrix_rank(m1 + m2))
+    rhs = r_sum == r1 + r2
+    one_sided = int(np.linalg.matrix_rank(np.hstack([m1 + m2, m1]))) == r_sum
+    return compat.LemmaReport(
+        nullspace_sum_full=bool(lhs),
+        range_sum_matches=bool(rhs),
+        one_sided=bool(one_sided),
+        agree=bool(lhs == rhs == one_sided),
+    )
+
+
+@st.composite
+def _lemma_draw(draw):
+    """Dimension n <= 12, two ranks in [0, n], a family and a seed.
+
+    ``generic`` draws ``X1 Y1*`` and ``X2 Y2*`` of the two ranks;
+    ``shared_kernel`` draws ``X1 Y1*`` and ``X2 Y1*``, ``shared_range``
+    ``X1 Y1*`` and ``X1 Y2*``, both of the first rank; ``projection`` is an
+    oblique projection ``Q`` of the first rank with ``Q - I``.
+    """
+    n = draw(st.integers(1, 12))
+    return (n, draw(st.integers(0, n)), draw(st.integers(0, n)),
+            draw(st.sampled_from(["generic", "shared_kernel", "shared_range",
+                                  "projection"])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_lemma_draw())
+def test_algebraic_lemma_matches_the_kernel_basis_route(drawn):
+    """The rank-count lemma gives the reference's report, or its
+    ``RangeOverlap`` message, on low-rank draws of every family."""
+    n, r1, r2, family, seed = drawn
+    rng = np.random.default_rng(seed)
+    ws = tn.make_space(n, np.eye(n))
+
+    def gauss(r):
+        return rand._complex_gauss(rng, n, r)
+
+    x1, y1 = gauss(r1), gauss(r1)
+    t1 = x1 @ y1.conj().T
+    if family == "generic":
+        t2 = gauss(r2) @ gauss(r2).conj().T
+    elif family == "shared_kernel":
+        t2 = gauss(r1) @ y1.conj().T
+    elif family == "shared_range":
+        t2 = x1 @ gauss(r1).conj().T
+    else:
+        t1 = x1 @ np.linalg.solve(y1.conj().T @ x1, y1.conj().T)
+        t2 = t1 - np.eye(n)
+    try:
+        expected = _lemma_from_kernel_bases(t1, t2)
+    except RangeOverlap as err:
+        with pytest.raises(RangeOverlap) as got:
+            tn.algebraic_lemma_check(ws, t1, t2)
+        assert str(got.value) == str(err)
+    else:
+        assert tn.algebraic_lemma_check(ws, t1, t2) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_algebraic_lemma_rejects_non_finite_entries(bad):
+    """A rank count reads an infinite entry as rank 0 (numpy's SVD returns
+    NaN singular values for it), so the operands are checked first."""
+    ws = tn.make_space(3, np.eye(3))
+    t1 = np.diag([bad, 1.0, 0.0])
+    t2 = np.zeros((3, 3))
+    t2[2, 2] = 1.0
+    for args in ((t1, t2), (t2, t1)):
+        with pytest.raises(ValueError, match="must have finite entries"):
+            tn.algebraic_lemma_check(ws, *args)
 
 
 def test_algebraic_lemma_rejects_overlapping_ranges():

@@ -429,6 +429,43 @@ def test_plus_adjoint_fixes_identity():
     assert np.allclose(ws.plus_matrix(np.eye(4)), np.eye(4), atol=1e-12)
 
 
+def _operator_on_a_tilted_space():
+    """``triu(ones(3))`` as an Operator on the weight diag(1, 1/2, 1/4)."""
+    ws1 = tn.make_space(3, np.diag([1.0, 0.5, 0.25]))
+    t = np.triu(np.ones((3, 3)))
+    return t, tn.Operator(t, ws1)
+
+
+def test_operator_on_another_space_is_read_in_the_given_one():
+    """An Operator passed with another space of its size is its matrix on
+    that space: its cached plus-adjoint, which belongs to its own weight,
+    is not reused.  On diag(1, 1/2, 1/4) the proper norm of ``triu(ones(3))``
+    is about 7.403, on the identity weight about 4.494."""
+    t, op = _operator_on_a_tilted_space()
+    ws2 = tn.make_space(3, np.eye(3))
+    assert tn.proper_norm(ws2, op) == tn.proper_norm(ws2, t)
+    assert tn.proper_norm(ws2, op) == pytest.approx(4.494, abs=1e-3)
+    plus = tn.plus_adjoint(ws2, op)
+    assert plus.space is ws2
+    assert np.array_equal(plus.matrix, t.T)
+    assert tn.plus_adjoint(op.space, op) is op.plus
+
+
+@pytest.mark.parametrize("call", [
+    tn.proper_norm,
+    tn.plus_adjoint,
+    tn.spectrum,
+    lambda ws, t: tn.opnorm(ws, t, "E"),
+    lambda ws, t: tn.opnorm(ws, t, "L"),
+    tn.gz_bound_check,
+], ids=["proper_norm", "plus_adjoint", "spectrum", "opnorm_E", "opnorm_L",
+        "gz_bound_check"])
+def test_operator_on_a_space_of_another_size_raises_dim_mismatch(call):
+    _, op = _operator_on_a_tilted_space()
+    with pytest.raises(DimMismatch, match=r"must be 4 x 4, got shape \(3, 3\)"):
+        call(tn.make_space(4, np.eye(4)), op)
+
+
 def test_symmetrizable_detects_weighted_hermitian():
     rng = rand.trial_rng(3, 0)
     ws = rand.random_space(rng, 5)
