@@ -34,6 +34,7 @@ from .space import (
     opnorm,
     proper_norm,
     _require,
+    _require_finite,
     _spec_norm,
 )
 from .subspaces import (
@@ -42,6 +43,7 @@ from .subspaces import (
     subspace_contained,
     subspace_equal,
     _idempotent_cut,
+    _in_space,
     _oblique_projection,
     _range_kernel,
     _require_projection,
@@ -96,7 +98,13 @@ class CompatReport:
 
 @dataclass(frozen=True)
 class BuckholtzReport:
-    """Residuals of the difference-of-projections identities."""
+    """Residuals of the difference-of-projections identities.
+
+    ``kappa`` is the condition number of the stacked orthonormal bases
+    ``[B_S | B_T]``, ``sqrt((1 + cos) / (1 - cos)) = (1 + cos) / sin`` for
+    the smallest principal angle ``theta_min`` between ``S`` and ``T``, read
+    from that angle's sine and cosine with no SVD of the stacked bases.
+    """
 
     res_inverse: float
     res_projection: float
@@ -131,9 +139,8 @@ def c_operator(ws, s, t):
 
 def _lproj_matrix(ws, s):
     """Weighted-orthogonal projection onto ``s`` as a matrix on the space:
-    ``B (B* A B)^{-1} B* A`` for an orthonormal basis ``B``."""
-    if s.rank == 0:
-        return np.zeros((ws.dim, ws.dim), dtype=complex)
+    ``B (B* A B)^{-1} B* A`` for an orthonormal basis ``B``; the zero
+    subspace's ``B`` is ``n x 0``, and gives the zero matrix."""
     b = s.basis
     b_dual = ws.dual(b)
     return b @ np.linalg.solve(b_dual @ b, b_dual)
@@ -155,7 +162,7 @@ def compat_projection(ws, s):
         With ``p_plus`` the same operator as ``p``; its range ``s`` and
         nullspace, the weighted complement of ``s``, are not formed.
     """
-    q = _lproj_matrix(ws, s)
+    q = _lproj_matrix(ws, *_in_space(ws, s))
     _validate_idempotent_pair(ws, q, q)
     op = Operator(q, ws)
     return ProjPair(op, op)
@@ -182,9 +189,8 @@ def compat_margin(ws, s, t=None):
     -------
     CompatReport
     """
-    if t is None:
-        t = s.complement
-    pair = oblique_projection(ws, s, t)
+    (s,) = _in_space(ws, s)
+    pair = oblique_projection(ws, s, s.complement if t is None else t)
     c = _c_matrix(pair)
     svals = np.linalg.svd(c, compute_uv=False)
     margin = float(svals[-1])
@@ -227,6 +233,7 @@ def krein_check(ws, s, q):
         If ``q`` is not a projection at ``TOL_IDEM`` (scaled by its squared
         norm).
     """
+    (s,) = _in_space(ws, s)
     m = as_matrix(q, ws)
     sv, rng, ker = _range_kernel(ws, m, _idempotent_cut)
     _require_projection(m, sv[0])
@@ -324,8 +331,7 @@ def algebraic_lemma_check(ws, t1, t2):
     """
     m1 = as_matrix(t1, ws)
     m2 = as_matrix(t2, ws)
-    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
-        raise ValueError("matrix must have finite entries")
+    _require_finite("matrix", m1, m2)
     r1, r2 = np.linalg.matrix_rank(m1), np.linalg.matrix_rank(m2)
     r_stack = np.linalg.matrix_rank(np.hstack([m1, m2]))
     if r_stack < r1 + r2:

@@ -110,6 +110,16 @@ def _require(residual, tol, what, error=ArithmeticError):
         raise error(f"{what} ({res:.3e} > {tol:.3e})")
 
 
+def _require_finite(what, *arrays):
+    """Raise ``ValueError`` unless every array of caller data has only
+    finite entries; the one check made before such data is factored.
+    numpy's factorizations do not check: its SVD raises on a NaN, returns
+    NaN for some infinite entries, and with vectors does not return at all
+    on ``diag(inf, 1, 0)``."""
+    if not all(np.isfinite(m).all() for m in arrays):
+        raise ValueError(f"{what} must have finite entries")
+
+
 @dataclass(frozen=True)
 class WeightedSpace:
     """C^n with an ambient-norm tag and a Hermitian positive definite weight.
@@ -351,8 +361,7 @@ def make_space(n, weight, enorm="euclid"):
     if enorm not in ("euclid", "trace"):
         raise ValueError(f"unknown ambient-norm tag {enorm!r}")
     a = _as_matrix(weight, n, "weight")
-    if not np.isfinite(a).all():
-        raise ValueError("weight must have finite entries")
+    _require_finite("weight", a)
     a = (a + a.conj().T) / 2.0
     a.setflags(write=False)
     # Counting nonzeros tells a diagonal weight from a dense one.

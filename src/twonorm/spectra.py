@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContourTooClose, NotIsolated
-from .space import Operator, as_matrix, as_operator, _spec_norm
+from .space import (Operator, as_matrix, as_operator, _require_finite,
+                    _spec_norm)
 from .subspaces import ProjPair, _require_projection
 
 __all__ = [
@@ -251,8 +252,7 @@ def vvplus_diagnostics(ws, q):
         squared norm).
     """
     m = as_matrix(q, ws)
-    if not np.isfinite(m).all():
-        raise ValueError("q must have finite entries")
+    _require_finite("q", m)
     _require_projection(m, _spec_norm(m))
     v = 2.0 * m - np.eye(ws.dim)
     v_plus = ws.plus_matrix(v)

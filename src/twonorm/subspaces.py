@@ -11,10 +11,13 @@ range ``S`` and nullspace ``T`` for a pair splitting the space.  Its
 plus-adjoint is itself an oblique projection, onto the weighted complement
 of ``T`` along the weighted complement of ``S``; the constructor builds
 that second projection independently and cross-checks the two routes.
-Only the stacked bases are factored: their singular values give the
-splitting gap, the condition number and the norm of ``P``; the range and
-kernel of ``P`` are fixed by its construction, and each subspace computes
-its weighted complement once and keeps it.
+The splitting gap, the condition number of the stacked bases and the
+norm of ``P`` are all read from the smallest principal angle between the
+pair, whose sine comes from one SVD of an ``n x min(r, n - r)`` residual;
+the stacked ``n x n`` bases are inverted once to build ``P`` and never
+factored otherwise.  The range and kernel of ``P`` are fixed by its
+construction, and each subspace computes its weighted complement once and
+keeps it.
 
 Every factorization goes through ``numpy.linalg`` but those it has no
 routine for: the complex Schur form and LAPACK's triangular ``trsyl`` and
@@ -24,7 +27,12 @@ and each imports them inside its body, so no other command loads their
 library.  numpy's SVD, QR, inverse and solve do not check their input for
 finiteness, so each matrix they factor is finite by construction or by a
 check: :func:`span` and the range and kernel splits, which take caller
-data, reject a non-finite SVD.
+data, reject a non-finite entry before the SVD.
+
+A function that takes the space and a :class:`Subspace` reads the subspace
+in that space: one built on another space of the same dimension is read
+again, so its weighted complement is the given space's, and one of another
+dimension raises :class:`DimMismatch`.
 """
 
 from dataclasses import dataclass
@@ -45,6 +53,7 @@ from .space import (
     as_matrix,
     _as_vector,
     _require,
+    _require_finite,
     _spec_norm,
 )
 
@@ -70,7 +79,7 @@ __all__ = [
 # rank cut for singular values, relative to the largest; gram_schmidt_L
 # applies it to weighted lengths
 TOL_RANK = 1e-10
-# smallest singular value of stacked orthonormal bases; absolute, in [0, 1]
+# gap sqrt(1 - cos(theta_min)) of a pair of subspaces; absolute, in [0, 1]
 TOL_GAP = 1e-10
 # largest principal angle, in radians; scale-free
 TOL_ANGLE = 1e-8
@@ -143,10 +152,11 @@ class ProjPair:
 class CompanionReport:
     """Splitting quality of a subspace pair and of its weighted complements.
 
-    ``gap`` is the stacked-basis gap of the pair.  ``complement_gap`` is
-    a certified lower bound on the complement pair's gap, exact when
-    :func:`is_proper_companion` factored that pair; otherwise it is the
-    bound ``sin(theta_min) / (sqrt(2) cond(A))`` that decided the verdict.
+    ``gap`` is the gap ``sqrt(1 - cos(theta_min))`` of the pair, as
+    :func:`direct_sum_gap` reads it.  ``complement_gap`` is a certified
+    lower bound on the complement pair's gap, exact when
+    :func:`is_proper_companion` computed it; otherwise it is the bound
+    ``sin(theta_min) / (sqrt(2) cond(A))`` that decided the verdict.
     """
 
     gap: float
@@ -195,25 +205,20 @@ def span(ws, vectors):
     Subspace
     """
     cols = _vectors_as_columns(ws, vectors)
-    if cols.shape[1] == 0:
-        return Subspace(cols, ws)
+    _require_finite("vectors", cols)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace(np.zeros((ws.dim, 0), dtype=complex), ws)
-    _require_finite(s, "vectors")
     r = int(np.sum(s > TOL_RANK * s[0]))
     return Subspace(u[:, :r], ws)
 
 
-def _require_finite(sv, what):
-    """Reject caller data whose SVD came back non-finite.
-
-    numpy raises ``LinAlgError``, a ``ValueError``, on a NaN entry, but
-    returns NaN singular values for an infinite one; the largest singular
-    value then tells.
-    """
-    if not np.isfinite(sv[0]):
-        raise ValueError(f"{what} must have finite entries")
+def _in_space(ws, *subs):
+    """Each subspace as one of ``ws``: one built on another space is read
+    again in ``ws``, as :func:`~twonorm.space.as_operator` reads an
+    operator, so that its cached weighted complement is ``ws``'s; a basis
+    of another height raises :class:`DimMismatch`."""
+    return [s if s.space is ws else Subspace(s.basis, ws) for s in subs]
 
 
 def _range_kernel(ws, mat, cut):
@@ -228,8 +233,8 @@ def _range_kernel(ws, mat, cut):
     candidate projection (:func:`twonorm.compat.krein_check`).  A matrix
     with a NaN or infinite entry raises ``ValueError``.
     """
+    _require_finite("matrix", mat)
     u, sv, vh = np.linalg.svd(mat)
-    _require_finite(sv, "matrix")
     r = int(np.sum(sv > cut(sv)))
     return sv, Subspace(u[:, :r], ws), Subspace(vh[r:].conj().T, ws)
 
@@ -257,25 +262,61 @@ def complement_L(ws, s):
     Every call recomputes the complement; :attr:`Subspace.complement`
     computes it once per subspace and is what the package itself uses.
     """
+    (s,) = _in_space(ws, s)
     q, _ = np.linalg.qr(ws.apply_weight(s.basis), mode="complete")
     return Subspace(q[:, s.rank:], ws)
 
 
-def _stacked_svals(s, t):
-    """Singular values of the stacked bases ``[B_S | B_T]``, largest first;
-    a single zero when the dimensions do not add up to the ambient one."""
+def _splitting(s, t):
+    """Gap, condition number and projection norm of a pair, from its
+    smallest principal angle ``theta_min``.
+
+    For orthonormal bases of dimensions ``r`` and ``n - r`` the stacked
+    ``M = [B_S | B_T]`` has ``M* M = [[I, G], [G*, I]]``, where the
+    singular values of the cross-Gram ``G = B_S* B_T`` are the cosines of
+    the principal angles; so the singular values of ``M`` are ``sqrt(1 +-
+    cos(theta_i))`` and ones (Bjorck & Golub, Math. Comp. 27, 1973).  With
+    ``sin`` and ``cos`` of ``theta_min`` the pair has
+
+    - gap ``sigma_min(M) = sqrt(1 - cos) = sin / sqrt(1 + cos)``;
+    - ``kappa = sigma_max(M) / sigma_min(M) = (1 + cos) / sin``;
+    - ``|P|_2 = 1 / sin`` for the projection onto one along the other
+      (Szyld, Numer. Algorithms 42, 2006).
+
+    ``sin`` is the smallest singular value of the ``n x min(r, n - r)``
+    residual of the smaller-rank basis against the larger-rank one, which
+    :func:`principal_angles` factors too.  ``cos`` is ``sqrt(1 -
+    sin^2)`` up to ``theta_min = pi/4`` and the largest singular value of
+    ``G`` above, each where it is well conditioned, so ``G`` is factored
+    only then.  Dimensions that do not add up to ``n`` give gap 0 and
+    infinite ``kappa`` and norm, as does a zero sine; a zero subspace
+    gives 1 for all three.
+    """
     if s.rank + t.rank != s.space.dim:
-        return np.zeros(1)
-    return np.linalg.svd(np.hstack([s.basis, t.basis]), compute_uv=False)
+        return 0.0, np.inf, np.inf
+    if s.rank == 0 or t.rank == 0:
+        return 1.0, 1.0, 1.0
+    sines, gram = _residual_sines(s, t)
+    sin = float(sines[-1])
+    if sin == 0.0:
+        return 0.0, np.inf, np.inf
+    cos = (1.0 - sin * sin) ** 0.5 if sin * sin <= 0.5 \
+        else float(np.linalg.svd(gram, compute_uv=False)[0])
+    return sin / (1.0 + cos) ** 0.5, (1.0 + cos) / sin, 1.0 / sin
 
 
 def direct_sum_gap(s, t):
-    """Smallest singular value of the stacked bases ``[B_S | B_T]``.
+    """Gap ``sqrt(1 - cos(theta_min))`` of a pair of subspaces, for the
+    smallest principal angle ``theta_min`` between them.
 
-    Zero when the dimensions do not add up to the ambient dimension; a
-    positive gap certifies that the pair splits the space.
+    It is the smallest singular value of the stacked orthonormal bases
+    ``[B_S | B_T]``, read from one SVD of an ``n x min(r, n - r)`` residual
+    as :func:`_splitting` sets out, and relies on the bases being
+    orthonormal as every :class:`Subspace`'s is.  Zero when the dimensions
+    do not add up to the ambient dimension; a positive gap certifies that
+    the pair splits the space.
     """
-    return float(_stacked_svals(s, t)[-1])
+    return _splitting(s, t)[0]
 
 
 def principal_angles(s1, s2):
@@ -293,11 +334,7 @@ def principal_angles(s1, s2):
     """
     if s1.rank == 0 or s2.rank == 0:
         return np.zeros(0)
-    b1, b2 = s1.basis, s2.basis
-    if s1.rank < s2.rank:
-        b1, b2 = b2, b1
-    gram = b1.conj().T @ b2
-    sines = np.linalg.svd(b2 - b1 @ gram, compute_uv=False)
+    sines, gram = _residual_sines(s1, s2)
     angles = np.arcsin(np.minimum(sines, 1.0))
     wide = sines ** 2 > 0.5
     if wide.any():
@@ -307,26 +344,33 @@ def principal_angles(s1, s2):
     return angles
 
 
+def _residual_sines(s1, s2):
+    """Sines of the principal angles between two nonzero subspaces, largest
+    first, and the cross-Gram ``B1* B2`` they were read from, ``B1`` the
+    basis of the larger rank: the singular values of ``B2 - B1 (B1* B2)``."""
+    b1, b2 = s1.basis, s2.basis
+    if s1.rank < s2.rank:
+        b1, b2 = b2, b1
+    gram = b1.conj().T @ b2
+    return np.linalg.svd(b2 - b1 @ gram, compute_uv=False), gram
+
+
 def max_principal_angle(s1, s2):
     ang = principal_angles(s1, s2)
     return float(ang.max()) if ang.size else 0.0
 
 
 def subspace_contained(inner, outer):
-    """True when ``inner`` sits inside ``outer`` at ``TOL_ANGLE``."""
-    if inner.rank == 0:
-        return True
-    if inner.rank > outer.rank:
-        return False
-    return max_principal_angle(inner, outer) <= TOL_ANGLE
+    """True when ``inner`` sits inside ``outer`` at ``TOL_ANGLE``; the
+    zero subspace has no angles and sits inside every subspace."""
+    return (inner.rank <= outer.rank
+            and max_principal_angle(inner, outer) <= TOL_ANGLE)
 
 
 def subspace_equal(s1, s2):
     """Equality as subspaces: same dimension, all principal angles at most
     ``TOL_ANGLE``."""
-    if s1.rank != s2.rank:
-        return False
-    return max_principal_angle(s1, s2) <= TOL_ANGLE
+    return s1.rank == s2.rank and max_principal_angle(s1, s2) <= TOL_ANGLE
 
 
 def _validate_idempotent_pair(ws, p, p_plus, p_norm=None):
@@ -382,8 +426,8 @@ def oblique_projection(ws, s, t):
     ----------
     ws : WeightedSpace
     s, t : Subspace
-        Must split the space: dimensions adding to ``n`` and a stacked-basis
-        gap above ``TOL_GAP``.
+        Must split the space: dimensions adding to ``n`` and a gap
+        :func:`direct_sum_gap` above ``TOL_GAP``.
 
     Returns
     -------
@@ -401,70 +445,68 @@ def _oblique_projection(ws, s, t):
     """:func:`oblique_projection` and the condition number ``kappa`` of the
     stacked bases ``[B_S | B_T]`` it was checked with.
 
-    The two plus-adjoint routes must agree to ``c u kappa^2 cond(A)`` with
-    ``c = 1e-9 / u``, about 9e6 for ``u = 2^-53``: each block solve is off
-    by ``u kappa |P|_2``, ``|P|_2`` is at most ``kappa``, and the
-    ``A^{-1} . A`` similarity of ``P+`` adds the factor ``cond(A)``.
+    For the smallest principal angle ``theta_min`` between the orthonormal
+    bases, the gap is ``sin / sqrt(1 + cos)``, ``kappa = (1 + cos) / sin``
+    and ``|P|_2 = 1 / sin``, all read from one :func:`_splitting` of the
+    pair, which factors an ``n x min(r, n - r)`` residual and no ``n x n``
+    matrix.  The two plus-adjoint routes must agree to ``c u kappa^2
+    cond(A)`` with ``c = 1e-9 / u``, about 9e6 for ``u = 2^-53``: each
+    block solve is off by ``u kappa |P|_2``, ``|P|_2`` is at most
+    ``kappa``, and the ``A^{-1} . A`` similarity of ``P+`` adds the factor
+    ``cond(A)``.
     """
-    svals = _stacked_svals(s, t)
-    gap = float(svals[-1])
+    s, t = _in_space(ws, s, t)
+    gap, kappa, p_norm = _splitting(s, t)
     if gap <= TOL_GAP:
         raise NotComplementary(
             f"pair does not split the space (gap {gap:.3e} <= {TOL_GAP:.0e})"
         )
-    kappa = float(svals[0] / svals[-1])
     p = _block_solve_projection(s, t)
     p_plus = ws.plus_matrix(p)
     p_indep = _block_solve_projection(t.complement, s.complement)
     _require(p_plus - p_indep, 1e-9 * kappa ** 2 * ws.weight_cond,
              "plus-adjoint routes disagree")
-    p_norm = 1.0 / _sin_min_angle(gap)
     _validate_idempotent_pair(ws, p, p_plus, p_norm)
     return ProjPair(Operator(p, ws), Operator(p_plus, ws)), kappa
-
-
-def _sin_min_angle(gap):
-    """``sin(theta_min)`` for the smallest angle between a pair with
-    stacked-basis gap ``gap``: ``gap^2 = 1 - cos(theta_min)``, and the
-    projection onto one along the other has ``|P|_2 = 1 / sin(theta_min)``
-    (Szyld, Numer. Algorithms 42, 2006)."""
-    return gap * np.sqrt(2.0 - gap * gap)
 
 
 def is_proper_companion(ws, s, t, tol_gap=TOL_GAP):
     """Whether a pair splits the space together with its weighted complements.
 
-    Both the pair itself and the complement pair must have a stacked-basis
-    gap above ``tol_gap``; this is the finite-dimensional form of the
-    companion relation behind every projection built here.
+    Both the pair itself and the complement pair must have a gap
+    :func:`direct_sum_gap` above ``tol_gap``; this is the
+    finite-dimensional form of the companion relation behind every
+    projection built here.  The gap of a pair of orthonormal bases is
+    ``g = sqrt(1 - cos(theta_min)) = sin / sqrt(1 + cos)`` for the smallest
+    principal angle ``theta_min`` between them, read with its sine from
+    one SVD of an ``n x min(r, n - r)`` residual.
 
     The complement pair is the range and kernel of ``P+ = A^{-1} P* A``
     for the projection ``P`` onto ``s`` along ``t``, so its gap has a lower
-    bound in the pair's gap ``g`` and ``cond(A)`` (Szyld, Numer.
-    Algorithms 42, 2006):
+    bound in ``sin(theta_min)`` and ``cond(A)`` (Szyld, Numer. Algorithms
+    42, 2006):
 
-    - ``sin(theta_min) = g sqrt(2 - g^2)``, since ``g^2 = 1 -
-      cos(theta_min)`` for the smallest angle between ``s`` and ``t``;
     - ``|P+|_2 <= cond(A) |P|_2 = cond(A) / sin(theta_min)``;
     - the complement pair's gap ``g'`` has ``g'^2 = 1 - cos(theta') >=
       sin(theta')^2 / 2``, and ``|P+|_2 = 1 / sin(theta')``.
 
-    So ``g' >= b = g sqrt(2 - g^2) / (sqrt(2) cond(A))``; when ``P+`` is
-    0 or ``I`` a complement is zero and ``g' = 1 > b``.  When ``b``
-    exceeds ``2 tol_gap`` the pair passes on the bound, and neither
-    weighted complement is formed or factored: the computed gap ``g'``
-    would fall to ``tol_gap`` only if its own rounding exceeded half the
-    certificate.  Otherwise the complement pair is factored as well.
+    So ``g' >= b = sin(theta_min) / (sqrt(2) cond(A))``; when ``P+`` is 0
+    or ``I`` a complement is zero and ``g' = 1 > b``.  When ``b`` exceeds
+    ``2 tol_gap`` the pair passes on the bound, and neither weighted
+    complement is formed: the computed gap ``g'`` would fall to
+    ``tol_gap`` only if its own rounding exceeded half the certificate.
+    Otherwise the complement pair's gap is computed as well.
     ``complement_gap`` is thus a lower bound on ``g'`` in both cases:
-    ``b`` when it decided, ``g'`` itself when the pair was factored.
+    ``b`` when it decided, ``g'`` itself when it was computed.
     """
-    gap = direct_sum_gap(s, t)
-    bound = _sin_min_angle(gap) / (np.sqrt(2.0) * ws.weight_cond)
+    s, t = _in_space(ws, s, t)
+    gap, _, p_norm = _splitting(s, t)
+    bound = 1.0 / (p_norm * np.sqrt(2.0) * ws.weight_cond)
     if bound > 2.0 * tol_gap:
         return CompanionReport(gap=gap, complement_gap=float(bound), ok=True)
     comp_gap = direct_sum_gap(t.complement, s.complement)
-    ok = gap > tol_gap and comp_gap > tol_gap
-    return CompanionReport(gap=gap, complement_gap=comp_gap, ok=bool(ok))
+    return CompanionReport(gap=gap, complement_gap=comp_gap,
+                           ok=bool(gap > tol_gap and comp_gap > tol_gap))
 
 
 def gram_schmidt_L(ws, vectors):
@@ -524,8 +566,7 @@ def finite_rank_proper_projection(ws, f_list, h_list):
         raise DimMismatch("the two families must have equal length")
     m = f.shape[1]
     h_dual = ws.dual(h)
-    gram = h_dual @ f
-    dev = np.abs(gram - np.eye(m)).max() if m else 0.0
+    dev = np.abs(h_dual @ f - np.eye(m)).max() if m else 0.0
     if dev > TOL_BIO:
         raise BiorthogonalityViolated(
             f"cross-Gram deviates from identity by {dev:.3e}"
@@ -547,10 +588,9 @@ def nullspace_plus_check(ws, t):
     m = as_matrix(t, ws)
     _, m_range, m_null = _range_kernel(ws, m, _span_cut)
     _, mp_range, mp_null = _range_kernel(ws, ws.plus_matrix(m), _span_cut)
-    lhs1, rhs1 = mp_null, m_range.complement
-    ang1 = max_principal_angle(lhs1, rhs1) if lhs1.rank == rhs1.rank else np.pi
-    lhs2, rhs2 = mp_range, m_null.complement
-    ang2 = max_principal_angle(lhs2, rhs2) if lhs2.rank == rhs2.rank else np.pi
+    pairs = ((mp_null, m_range.complement), (mp_range, m_null.complement))
+    ang1, ang2 = (max_principal_angle(a, b) if a.rank == b.rank else np.pi
+                  for a, b in pairs)
     return NullspacePlusReport(
         null_angle=float(ang1),
         range_angle=float(ang2),

@@ -13,7 +13,12 @@ import twonorm.cli as cli
 import twonorm.compat as compat
 import twonorm.subspaces as subspaces
 from twonorm import rand
-from twonorm.errors import IllConditionedWarning, NotIdempotent, RangeOverlap
+from twonorm.errors import (
+    DimMismatch,
+    IllConditionedWarning,
+    NotIdempotent,
+    RangeOverlap,
+)
 from twonorm.space import Operator, _spec_norm
 
 from conftest import count_calls, modest_space
@@ -311,21 +316,28 @@ def test_buckholtz_symmetric_residual_on_canonical_pair():
     assert tn.buckholtz_verify(ws, s, t).res_symmetric <= 1e-12
 
 
-def test_buckholtz_reads_kappa_from_the_stacked_singular_values(monkeypatch):
-    """The stacked-basis condition number comes from ``_stacked_svals``,
-    not from a separate ``numpy.linalg.cond``."""
+def test_buckholtz_reads_kappa_from_the_smallest_principal_angle(
+        monkeypatch):
+    """The stacked-basis condition number is ``(1 + cos) / sin`` of the
+    smallest principal angle, as ``_splitting`` reads it, not a separate
+    ``numpy.linalg.cond``; at the canonical pair's 45 degrees that is
+    ``1 + sqrt(2)``, the ratio of the stacked singular values."""
     def forbidden(*args, **kwargs):
         raise AssertionError("numpy.linalg.cond was called")
 
     monkeypatch.setattr(np.linalg, "cond", forbidden)
     ws, s, t = canonical_pair()
-    svals = subspaces._stacked_svals(s, t)
-    assert tn.buckholtz_verify(ws, s, t).kappa == svals[0] / svals[-1]
+    kappa = tn.buckholtz_verify(ws, s, t).kappa
+    assert kappa == subspaces._splitting(s, t)[1]
+    svals = np.linalg.svd(np.hstack([s.basis, t.basis]), compute_uv=False)
+    assert kappa == pytest.approx(svals[0] / svals[-1], rel=1e-15)
 
 
-def test_buckholtz_takes_one_svd_of_the_stacked_bases(monkeypatch):
-    """The projection and the report share one SVD of ``[B_S | B_T]``; the
-    other three SVDs are the spectral norms of the three residuals."""
+def test_buckholtz_takes_one_svd_of_the_pair_residual(monkeypatch):
+    """The projection and the report share one SVD, of the residual that
+    gives the sine of the smallest principal angle (below pi/4 here, so
+    the cross-Gram is not factored); the other three SVDs are the spectral
+    norms of the three residuals."""
     rng = rand.trial_rng(18, 1)
     ws = rand.random_space(rng, 6)
     s = rand.random_subspace(rng, ws, 2)
@@ -541,3 +553,52 @@ def test_algebraic_lemma_rejects_overlapping_ranges():
     t1 = np.diag([1.0, 0.0])
     with pytest.raises(RangeOverlap):
         tn.algebraic_lemma_check(ws, t1, 2.0 * t1)
+
+
+def _matrices(pair):
+    return pair.p.matrix, pair.p_plus.matrix
+
+
+# each public function that takes the space and subspaces, on the pair
+# s = span(e1), t = span(e1 + e2, e3) of C^3; each returns arrays or a report
+_SUBSPACE_TAKERS = {
+    "complement_L": lambda ws, s, t: tn.complement_L(ws, s).basis,
+    "oblique_projection": lambda ws, s, t: _matrices(
+        tn.oblique_projection(ws, s, t)),
+    "is_proper_companion": lambda ws, s, t: tn.is_proper_companion(ws, s, t),
+    "c_operator": lambda ws, s, t: tn.c_operator(ws, s, t).matrix,
+    "compat_projection": lambda ws, s, t: tn.compat_projection(ws, s).p.matrix,
+    "compat_margin": lambda ws, s, t: (tn.compat_margin(ws, s),
+                                       tn.compat_margin(ws, s, t)),
+    "krein_check": lambda ws, s, t: tn.krein_check(
+        ws, s, tn.compat_projection(ws, s).p.matrix),
+    "buckholtz_verify": lambda ws, s, t: tn.buckholtz_verify(ws, s, t),
+    "companion_transport": lambda ws, s, t: tn.companion_transport(
+        ws, s, t, t).matrix,
+    "companion_metric": lambda ws, s, t: tn.companion_metric(ws, s, t, t),
+}
+
+
+def _found_pair(ws):
+    return (tn.span(ws, [[1.0, 0.0, 0.0]]),
+            tn.span(ws, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("name", sorted(_SUBSPACE_TAKERS))
+def test_subspaces_of_another_space_are_read_in_the_given_one(name):
+    """A pair built on ``diag(1, .5, .25)`` and passed with the identity
+    weight gives what the pair built on the identity weight gives: its
+    weighted complements are the given space's, not its own."""
+    take = _SUBSPACE_TAKERS[name]
+    ws = tn.make_space(3, np.eye(3))
+    other = tn.make_space(3, np.diag([1.0, 0.5, 0.25]))
+    got = take(ws, *_found_pair(other))
+    want = take(ws, *_found_pair(ws))
+    np.testing.assert_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_SUBSPACE_TAKERS))
+def test_subspaces_of_another_dimension_raise_dim_mismatch(name):
+    with pytest.raises(DimMismatch):
+        _SUBSPACE_TAKERS[name](tn.make_space(4, np.eye(4)),
+                               *_found_pair(tn.make_space(3, np.eye(3))))
