@@ -19,6 +19,14 @@ factored otherwise.  The range and kernel of ``P`` are fixed by its
 construction, and each subspace computes its weighted complement once and
 keeps it.
 
+Each projection builder checks what its construction does not fix.  The
+oblique projection checks that its two plus-adjoint routes agree and that
+``P``, formed without the weight, squares to itself at its own rounding;
+``P+``'s residual is ``P``'s moved through the weight, so it is not
+checked again.  The finite-rank projection forms ``P`` through the weight,
+so its tolerance carries ``cond(A)`` and no longer implies that of ``P+``,
+and both are checked.
+
 Every factorization goes through ``numpy.linalg`` but those it has no
 routine for: the complex Schur form and LAPACK's triangular ``trsyl`` and
 ``trtri``.  Only :func:`~twonorm.spectra.riesz_projection` and
@@ -373,31 +381,34 @@ def subspace_equal(s1, s2):
     return s1.rank == s2.rank and max_principal_angle(s1, s2) <= TOL_ANGLE
 
 
-def _validate_idempotent_pair(ws, p, p_plus, p_norm=None):
-    """Idempotency checks for a freshly built projection pair.
+def _validate_idempotent_pair(ws, p, p_plus):
+    """Idempotency checks for a projection pair formed through the weight.
 
-    Tolerances scale with ``max(1, p_norm)^2``, ``p_norm = |P|_2``, and the
-    weight conditioning, so legitimately tilted pairs pass; the test suites
-    hold the unscaled contract figures.  The tolerance is ``c u |P|_2^2
-    cond(A)`` with ``c = 1e-10 / u``, about 9e5 for the unit roundoff ``u =
-    2^-53``: the product ``P P`` rounds at ``u |P|_2^2``, and ``P+ = A^{-1}
-    P* A`` carries the factor ``cond(A)``.  Range and kernel hold by
-    construction (``p`` is ``B_S X``, ``B G^-1 B* A`` or ``F H* A``), and
-    so does ``p_plus``: it is ``ws.plus_matrix(p)``, ``p`` itself or
-    ``H F* A``, each the plus-adjoint of ``p`` by construction.  When it is
-    ``p`` itself, ``p`` is checked once.
+    The two callers form ``P`` through ``A``: ``Q = B G^-1 B* A`` of
+    :func:`~twonorm.compat.compat_projection` and ``P = F H* A`` of
+    :func:`finite_rank_proper_projection`.  So the tolerance is ``c u
+    max(1, |P|_2)^2 cond(A)`` with ``c = 1e-10 / u``, about 9e5 for the
+    unit roundoff ``u = 2^-53``: the product ``P P`` rounds at ``u
+    |P|_2^2``, and the weight that forms ``P`` adds the factor ``cond(A)``.
+    That tolerance bounds ``P``'s residual only, and with the factor
+    ``cond(A)`` it no longer implies the plus-adjoint's, so ``p_plus`` is
+    checked as well, at the same tolerance; when it is ``p`` itself, as for
+    ``Q``, ``p`` is checked once.  Range and kernel hold by construction,
+    and so does ``p_plus``: it is ``p`` itself or ``H F* A``, the
+    plus-adjoint of ``p`` by construction.  :func:`oblique_projection`
+    forms ``P`` without the weight and checks it alone.
 
-    A caller that holds ``|P|_2`` for free passes it.  Otherwise it is
-    taken, by one SVD, only when a residual's Frobenius norm exceeds
-    ``1e-10 cond(A)``, the tolerance at ``|P|_2 <= 1``: below it every
-    scale passes, since the spectral norm is never larger; ``cond(A)``, a
-    ratio of the largest to the smallest weight eigenvalue, is at least
-    one.
+    ``|P|_2`` is taken, by one SVD, only when a residual's Frobenius norm
+    exceeds ``1e-10 cond(A)``, the tolerance at ``|P|_2 <= 1``: below it
+    every scale passes, since the spectral norm is never larger;
+    ``cond(A)``, a ratio of the largest to the smallest weight eigenvalue,
+    is at least one.
     """
     cond = ws.weight_cond
     checks = [(p, "projection failed the idempotency check")]
     if p_plus is not p:
         checks.append((p_plus, "plus-adjoint failed the idempotency check"))
+    p_norm = None
     for m, what in checks:
         residual = m @ m - m
         if p_norm is None:
@@ -437,6 +448,9 @@ def oblique_projection(ws, s, t):
     ------
     NotComplementary
         If the pair does not split the space at the gap tolerance.
+    ArithmeticError
+        If the two plus-adjoint routes disagree, or ``P`` fails its
+        idempotency check, beyond the rounding their tolerances allow.
     """
     return _oblique_projection(ws, s, t)[0]
 
@@ -454,6 +468,17 @@ def _oblique_projection(ws, s, t):
     block solve is off by ``u kappa |P|_2``, ``|P|_2`` is at most
     ``kappa``, and the ``A^{-1} . A`` similarity of ``P+`` adds the factor
     ``cond(A)``.
+
+    One idempotency check is made, of ``P``, to ``c u |P|_2^2`` with ``c =
+    1e-10 / u``, about 9e5.  ``P = B_S X`` is formed without the weight, so
+    it rounds at ``u kappa |P|_2 <= 2 u |P|_2^2``, as ``kappa = (1 + cos) /
+    sin <= 2 |P|_2``, and no factor ``cond(A)`` enters.  ``P+``'s residual
+    is ``P``'s moved through the weight, ``(P+)^2 - P+ = A^{-1} (P^2 - P)*
+    A`` exactly, so checking it would add only the rounding of that
+    similarity, up to ``u |P+|_2^2`` with ``|P+|_2`` as large as ``cond(A)
+    |P|_2``; ``|A^{-1} X* A|_2 <= cond(A) |X|_2`` makes the check of ``P``
+    the stronger of the two in exact arithmetic.  ``P+`` is held by the
+    routes check.
     """
     s, t = _in_space(ws, s, t)
     gap, kappa, p_norm = _splitting(s, t)
@@ -466,7 +491,8 @@ def _oblique_projection(ws, s, t):
     p_indep = _block_solve_projection(t.complement, s.complement)
     _require(p_plus - p_indep, 1e-9 * kappa ** 2 * ws.weight_cond,
              "plus-adjoint routes disagree")
-    _validate_idempotent_pair(ws, p, p_plus, p_norm)
+    _require(p @ p - p, 1e-10 * p_norm ** 2,
+             "projection failed the idempotency check")
     return ProjPair(Operator(p, ws), Operator(p_plus, ws)), kappa
 
 
