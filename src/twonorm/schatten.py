@@ -270,6 +270,17 @@ def sylvester(c, d, w, force=False):
     normal ``c`` and ``d`` it is the eigenvalue separation.  With
     ``k == 1`` it is ``|c - d|``.
 
+    Lanczos starts, in Schur coordinates, from ``e_i e_j^T + sqrt(u) g``
+    with ``(i, j)`` the pair of least ``|R_ii - S_jj|``, ``u = eps / 2`` and
+    ``g`` a Gaussian vector of fixed seed, so the margin repeats bit for
+    bit.  For normal ``c`` and ``d`` both Schur forms are diagonal to
+    rounding, ``M`` is then diagonal with entries ``R_ii - S_jj``, and
+    ``e_i e_j^T`` is its smallest singular vector: ARPACK converges in its
+    first cycle.  The ``sqrt(u) g`` term keeps every direction in the
+    start, so a Schur form that is exactly reducible, with ``e_i e_j^T``
+    in an invariant subspace of ``M`` that misses the smallest singular
+    vector, cannot hide that vector from the Krylov space.
+
     When the spectra meet, no solve is attempted and the margin reported
     is the eigenvalue separation itself, at most ``TOL_SPEC``.  It bounds
     the smallest singular value from above: for a right eigenvector ``u``
@@ -304,7 +315,9 @@ def sylvester(c, d, w, force=False):
 
     tc, uc = la.schur(c, output="complex")
     td, ud = la.schur(d, output="complex")
-    min_sep = float(np.abs(np.subtract.outer(np.diag(tc), np.diag(td))).min())
+    gaps = np.abs(np.subtract.outer(np.diag(tc), np.diag(td)))
+    nearest = np.unravel_index(np.argmin(gaps), gaps.shape)
+    min_sep = float(gaps[nearest])
     if min_sep <= TOL_SPEC:
         if force:
             raise SingularSystem(
@@ -331,11 +344,13 @@ def sylvester(c, d, w, force=False):
         return vec(solve(solve(unvec(v, k), "C")))
 
     n = k * k
-    # a fixed start vector makes the margin repeat bit for bit
+    # the docstring's start, vec(e_i e_j^T) + sqrt(u) g
+    v0 = np.sqrt(np.finfo(float).eps / 2) * (
+        np.random.default_rng(0).standard_normal(n))
+    v0[np.ravel_multi_index(nearest, (k, k), order="F")] += 1.0
     _, vecs = eigsh(
         LinearOperator((n, n), matvec=inverse_gram, dtype=complex),
-        k=1, which="LA", tol=TOL_ARPACK,
-        v0=np.random.default_rng(0).standard_normal(n),
+        k=1, which="LA", tol=TOL_ARPACK, v0=v0,
     )
     y = uc @ unvec(vecs[:, 0], k) @ ud.conj().T
     margin = float(np.linalg.norm(c @ y - y @ d) / np.linalg.norm(y))

@@ -328,6 +328,107 @@ def test_sylvester_repeats_bit_for_bit():
     assert np.array_equal(first.x, second.x)
 
 
+def _count_products(monkeypatch):
+    """Spy on the ``trsyl`` that ``la.get_lapack_funcs`` returns; the list
+    returned holds its call count, the solve's one call plus two per
+    product of the Lanczos operator ``(M* M)^-1``."""
+    calls = [0]
+    get = la.get_lapack_funcs
+
+    def spied(names, arrays=(), *args, **kwargs):
+        fn = get(names, arrays, *args, **kwargs)
+        if names != "trsyl":
+            return fn
+
+        def counted(*a, **kw):
+            calls[0] += 1
+            return fn(*a, **kw)
+        return counted
+
+    monkeypatch.setattr(la, "get_lapack_funcs", spied)
+    return calls
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_sylvester_normal_pairs_take_one_lanczos_cycle(monkeypatch, k):
+    """Started at the nearest Schur eigenvalue pair, Lanczos on a normal
+    pair converges in its first cycle of ``ncv = 20`` vectors: at most 22
+    products per margin."""
+    calls = _count_products(monkeypatch)
+    for trial in range(4):
+        rng = rand.trial_rng(83, 100 * k + trial)
+        lam, mu = _disc(rng, k, 2.0, 0.5), _disc(rng, k, -2.0, 0.5)
+        u1, u2 = rand.haar_unitary(rng, k), rand.haar_unitary(rng, k)
+        c = (u1 * lam) @ u1.conj().T
+        d = (u2 * mu) @ u2.conj().T
+        calls[0] = 0
+        res = tn.sylvester(c, d, rand._complex_gauss(rng, k, k))
+        assert res.solvable
+        assert (calls[0] - 1) // 2 <= 22
+
+
+def _reducible_pair(seed, k=24):
+    """``c = diag(0.5, b)`` with ``b`` a non-normal (k-1) x (k-1) block,
+    and a normal ``d`` whose eigenvalue 0.8 is the nearest to 0.5.
+
+    ``c``'s Schur form is exactly reducible, so the row of 0.5 spans an
+    invariant subspace of ``M`` and ``M*`` that holds the nearest pair's
+    ``e_i e_j^T``; the smallest singular vector lies outside it, in ``b``'s
+    rows, where non-normality puts the margin far below the separation."""
+    rng = rand.trial_rng(79, seed)
+    b = np.diag(2.0 + 0.1 * rand._complex_gauss(rng, k - 1)) \
+        + 0.6 * np.triu(rand._complex_gauss(rng, k - 1, k - 1), 1)
+    u = rand.haar_unitary(rng, k - 1)
+    b = u @ b @ u.conj().T
+    mu = np.r_[0.8, 1.0 + 0.1 * rand._complex_gauss(rng, k - 1)]
+    v = rand.haar_unitary(rng, k)
+    assert np.abs(np.subtract.outer(la.eigvals(b), mu)).min() > 0.3
+    return la.block_diag([[0.5]], b), (v * mu) @ v.conj().T
+
+
+def _hard_starts():
+    rng = rand.trial_rng(89, 0)
+    for k in (2, 5, 12):
+        lam, mu = rand._complex_gauss(rng, k), rand._complex_gauss(rng, k)
+        yield pytest.param(np.diag(lam), np.diag(mu), None,
+                           id=f"diagonal-{k}")
+    for seed in range(2):
+        # 0.3 = |0.5 - 0.8|, the separation of the nearest pair
+        yield pytest.param(*_reducible_pair(seed), 0.3,
+                           id=f"reducible-{seed}")
+
+
+@pytest.mark.parametrize("c, d, start_gap", _hard_starts())
+def test_sylvester_start_vector_hard_cases(c, d, start_gap):
+    """Diagonal coefficients make the start an eigenvector of ``M* M`` to
+    ``sqrt(u)``; an exactly reducible Schur form puts it in an invariant
+    subspace whose smallest singular value, ``start_gap``, is far above
+    the margin.  The margin meets the Kronecker oracle's bound either way
+    and repeats bit for bit."""
+    k = c.shape[0]
+    w = np.eye(k)
+    _check_against_kronecker(c, d, w)
+    first, *rest = [tn.sylvester(c, d, w) for _ in range(3)]
+    if start_gap is not None:
+        assert first.margin < 0.1 * start_gap
+    for res in rest:
+        assert res.margin == first.margin
+        assert res.residual == first.residual
+        assert np.array_equal(res.x, first.x)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "TOL_SPEC is absolute: an eigenvalue separation of 5e-8 > 1e-8 calls "
+    "solvable a system whose smallest singular value is at the rounding "
+    "floor, 2.0e-16 by the dense svdvals"))
+def test_sylvester_numerically_singular_system_is_not_solvable():
+    k = 6
+    c = 50 * np.eye(k, k=1) + np.diag(1e-3 * np.arange(k))
+    d = c + 5e-8 * np.eye(k)
+    res = tn.sylvester(c, d, np.eye(k))
+    assert not res.solvable
+
+
 def test_demo_sylvester_prints_the_same_bytes_on_two_runs(tmp_path):
     rng = rand.trial_rng(67, 1)
     c, d = _sylvester_pair(rng, 8, False)
