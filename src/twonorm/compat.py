@@ -16,10 +16,13 @@ another while fixing the subspace.
 Two kinds of identity appear here.  Those that compare independently built
 matrices are verified: :func:`buckholtz_verify` reports the residuals of
 the classical difference-of-projections identities, and
-:func:`compat_margin` holds ``Q_S = C^{-1} P+`` to a tolerance.  Those that
-follow from how a matrix is built are stated, not recomputed: ``Q_S+ =
-Q_S``, since ``A Q_S`` is Hermitian, and the closed-form plus-adjoint of
-the transport, since the plus-adjoint is linear and reverses products.
+:func:`compat_margin` given a companion holds ``Q_S = C^{-1} P+`` to a
+tolerance.  Those that follow from how a matrix is built are stated, not
+recomputed: ``Q_S+ = Q_S``, since ``A Q_S`` is Hermitian; ``C^{-1} P+ =
+Q_S`` for the default companion, the weighted complement of ``S``, since
+the projection onto ``S`` along it is ``Q_S`` itself, so ``C = 2 Q_S - I``
+is an involution; and the closed-form plus-adjoint of the transport, since
+the plus-adjoint is linear and reverses products.
 """
 
 import warnings
@@ -76,7 +79,8 @@ class CompatReport:
     :func:`~twonorm.space.trace_opnorm_estimate`: certified when the
     projection is an elementary map ``x -> E x F``, otherwise an estimate,
     a lower bound only; ``residual_cross`` is the disagreement between the
-    inverse-formula and direct constructions of that projection (None when
+    inverse-formula and direct constructions of that projection (None for
+    the default companion, whose ``P`` is the projection itself, and when
     the formula route was suppressed as ill-conditioned); ``kappa_c`` is the
     condition number ``s_max / s_min`` of ``C``, read from the same singular
     values as the margin (``inf`` when ``C`` is exactly singular), which
@@ -150,11 +154,12 @@ def compat_projection(ws, s):
     """Canonical plus-self-adjoint projection onto a subspace.
 
     It is the weighted-orthogonal projection ``Q = B (B* A B)^{-1} B* A``,
-    so it depends on ``s`` alone; :func:`compat_margin` cross-checks it
-    against ``C^{-1} P+`` built from a companion.  ``A Q = (A B) G^{-1}
-    (A B)*`` with ``G = B* A B`` is Hermitian, so ``Q+ = A^{-1} Q* A = Q``
-    exactly: one operator serves as both members of the pair, and only its
-    idempotency is checked.
+    so it depends on ``s`` alone; :func:`compat_margin` reads ``C`` from it
+    for the default companion and cross-checks it against ``C^{-1} P+``
+    built from a given one.  ``A Q = (A B) G^{-1} (A B)*`` with ``G = B* A
+    B`` is Hermitian, so ``Q+ = A^{-1} Q* A = Q`` exactly: one operator
+    serves as both members of the pair, and only its idempotency is
+    checked.
 
     Returns
     -------
@@ -171,11 +176,16 @@ def compat_projection(ws, s):
 def compat_margin(ws, s, t=None):
     """Compatibility margin and canonical-projection norm for a subspace.
 
-    One oblique projection ``P`` onto ``s`` along ``t`` (by default the
-    weighted complement of ``s``) and one SVD of ``C = P + P+ - I`` give the
-    margin and ``kappa(C)``.  The canonical projection must agree with
-    ``C^{-1} P+``; that cross-check is skipped, with an
-    :class:`IllConditionedWarning`, when ``C`` is numerically singular.
+    One SVD of ``C = P + P+ - I`` gives the margin and ``kappa(C)``.  By
+    default ``P`` is the projection onto ``s`` along its weighted
+    complement, which is the canonical projection ``Q`` of
+    :func:`compat_projection`: ``P = P+ = Q`` and ``C = 2Q - I``, so ``C``
+    is built from ``Q`` alone and no complement is formed.  With no second
+    route to compare, ``residual_cross`` is None and nothing warns.  Given
+    a companion ``t``, ``P`` is the oblique projection onto
+    ``s`` along ``t``, and ``Q`` must agree with ``C^{-1} P+``; that
+    cross-check is skipped, with an :class:`IllConditionedWarning`, when
+    ``C`` is numerically singular.
 
     ``C`` counts as singular when ``kappa(C) > 1e12``, that is when its
     smallest singular value is below ``c u s_max`` with ``c = 1e-12 / u``,
@@ -189,24 +199,23 @@ def compat_margin(ws, s, t=None):
     -------
     CompatReport
     """
-    (s,) = _in_space(ws, s)
-    pair = oblique_projection(ws, s, s.complement if t is None else t)
+    canon = compat_projection(ws, s)
+    pair = canon if t is None else oblique_projection(ws, s, t)
     c = _c_matrix(pair)
     svals = np.linalg.svd(c, compute_uv=False)
     margin = float(svals[-1])
     kappa_c = float(svals[0] / svals[-1]) if margin > 0.0 else np.inf
-    q = _lproj_matrix(ws, s)
+    q = canon.p.matrix
     residual = None
-    if margin < 1e-12 * svals[0]:
+    if t is not None and margin < 1e-12 * svals[0]:
         warnings.warn(
             "splitting operator is numerically singular; using the direct "
             "projection route only",
             IllConditionedWarning,
             stacklevel=2,
         )
-    else:
-        q_formula = np.linalg.solve(c, pair.p_plus.matrix)
-        residual = _spec_norm(q_formula - q)
+    elif t is not None:
+        residual = _spec_norm(np.linalg.solve(c, pair.p_plus.matrix) - q)
         _require(residual,
                  1e-9 * kappa_c * ws.weight_cond,
                  "projection routes disagree")

@@ -45,6 +45,8 @@ def test_parse_matrix_literal_file(tmp_path):
 def test_parse_matrix_literal_rejects_unknown_kind():
     with pytest.raises(ValueError):
         cli.parse_matrix_literal("dense:1,2")
+    with pytest.raises(ValueError, match=r"^bad matrix literal 'diag'$"):
+        cli.parse_matrix_literal("diag")
 
 
 def test_check_suites_small_runs_pass():
@@ -127,6 +129,15 @@ def test_riesz_rejects_non_finite_contour_parameters(flags, message, capsys):
 def test_study_diverge_rejects_bad_exponent():
     code, _ = run_cli(["study", "diverge", "--beta", "0.9"])
     assert code == 2
+
+
+def test_study_diverge_rejects_a_bad_dimension_list(capsys):
+    """argparse reports the list and exits 2."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(["study", "diverge", "--beta", "0.5", "--dims", "8,x"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --dims: bad integer list '8,x'\n")
 
 
 def test_study_diverge_csv_shape():

@@ -160,6 +160,16 @@ def test_load_subspace_validations(tmp_path):
     with pytest.raises(DimMismatch):
         matio.load_subspace(path, ws)
 
+    path.write_text("subspace 3\n3 1\n1,0\n0,0\n0,0\n")
+    with pytest.raises(ValueError,
+                       match=r"^bad subspace header: 'subspace 3'$"):
+        matio.load_subspace(path, ws)
+
+    path.write_text("subspace 3 2\n3 1\n1,0\n0,0\n0,0\n")
+    with pytest.raises(ValueError, match=r"^basis shape \(3, 1\) disagrees "
+                                         r"with header \(3, 2\)$"):
+        matio.load_subspace(path, ws)
+
 
 def test_file_functions_raise_io_failure_on_a_bad_path(tmp_path):
     ws = tn.make_space(2, np.eye(2))

@@ -518,6 +518,11 @@ def test_opnorm_of_identity_both_tags():
     assert est == pytest.approx(1.0, abs=1e-9)
 
 
+def test_opnorm_rejects_an_unknown_tag():
+    with pytest.raises(ValueError, match=r"^unknown norm tag 'X'$"):
+        tn.opnorm(tn.make_space(2, np.eye(2)), np.eye(2), "X")
+
+
 def test_trace_norm_estimate_attains_singular_value_product():
     """The trace 1->1 norm of x -> a x b equals sigma1(a) sigma1(b).
 

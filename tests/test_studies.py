@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from contextlib import redirect_stdout
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -87,7 +88,6 @@ def test_diverge_rows_match_the_closed_form(beta):
 def test_diverge_rows_lie_within_a_few_rounding_units_of_40_digits():
     """Against the same closed form in 40-digit arithmetic, at the sizes
     where summation order matters most; control rows are exactly 1."""
-    mp = pytest.importorskip("mpmath")
     u = np.finfo(float).eps / 2
     with mp.workdps(40):
         for beta in (0.01, 0.25, 0.45, 0.5):

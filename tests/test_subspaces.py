@@ -1,5 +1,6 @@
 """Subspace machinery: spans, complements, gaps, oblique projections."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -292,19 +293,19 @@ def test_splitting_of_planted_pairs_against_closed_forms(theta_min):
     ``pi/2`` the cosine must come from the cross-Gram, since ``sqrt(1 -
     sin^2)`` reads 0 there; over 300 draws per angle the worst was ``0.7 n
     u kappa``."""
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    theta = mp.mpf(theta_min)
-    exact = (mp.sqrt(1 - mp.cos(theta)), mp.cot(theta / 2), 1 / mp.sin(theta))
     u = np.finfo(float).eps / 2
-    for seed in range(20):
-        rng = rand.trial_rng(83, seed)
-        n = int(rng.integers(2, 13))
-        s, t = _planted_pair(rng, n, int(rng.integers(1, n // 2 + 1)),
-                             theta_min)
-        for a, b in ((s, t), (t, s)):
-            for got, want in zip(subspaces._splitting(a, b), exact):
-                assert abs(got - want) <= 8 * n * u * exact[1] * want
+    with mp.workdps(40):
+        theta = mp.mpf(theta_min)
+        exact = (mp.sqrt(1 - mp.cos(theta)), mp.cot(theta / 2),
+                 1 / mp.sin(theta))
+        for seed in range(20):
+            rng = rand.trial_rng(83, seed)
+            n = int(rng.integers(2, 13))
+            s, t = _planted_pair(rng, n, int(rng.integers(1, n // 2 + 1)),
+                                 theta_min)
+            for a, b in ((s, t), (t, s)):
+                for got, want in zip(subspaces._splitting(a, b), exact):
+                    assert abs(got - want) <= 8 * n * u * exact[1] * want
 
 
 def test_companion_pair_and_projection_take_no_svd_of_side_n(monkeypatch):
@@ -840,7 +841,6 @@ def _plus_adjoint_40_digits(ws, s, t):
     """``A^{-1} P* A`` for ``P = [B_S | 0] [B_S | B_T]^{-1}``, the
     projection onto ``s`` along ``t``, in 40-digit mpmath from the float
     weight and bases."""
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         stack = mp.matrix(np.hstack([s.basis, t.basis]).tolist())
         head = mp.matrix(np.hstack([s.basis, 0 * t.basis]).tolist())
@@ -913,6 +913,15 @@ def test_gram_schmidt_rejects_dependent_input():
     ws = euclid2()
     with pytest.raises(DependentInput):
         tn.gram_schmidt_L(ws, [E1, 3.0 * E1])
+    with pytest.raises(DependentInput,
+                       match=r"^vector 1 has negligible weighted length$"):
+        tn.gram_schmidt_L(ws, [E1, 1e-13 * E2])
+
+
+def test_span_rejects_a_column_stack_of_the_wrong_height():
+    with pytest.raises(DimMismatch,
+                       match=r"^column stack must have height 2, got 3$"):
+        tn.span(euclid2(), np.ones((3, 1)))
 
 
 def test_finite_rank_projection_from_biorthogonal_system():
