@@ -37,8 +37,13 @@ def parse_matrix_literal(text, k=None):
         raise ValueError(f"unknown matrix literal kind {kind!r}")
     if kind == "scalar" and k is None:
         raise ValueError("scalar literal needs an explicit --k size")
+    if kind == "scalar" and k < 1:
+        raise ValueError(f"--k must be at least 1, got {k}")
     cells = rest.split(",") if kind == "diag" else [rest]
-    entries = np.array([complex(cell.strip()) for cell in cells])
+    try:
+        entries = np.array([complex(cell.strip()) for cell in cells])
+    except ValueError:
+        raise ValueError(f"bad entry in matrix literal {text!r}") from None
     if not np.isfinite(entries).all():
         raise ValueError(f"non-finite entry in matrix literal {text!r}")
     return np.diag(entries) if kind == "diag" \
@@ -62,6 +67,12 @@ def _require_tol(tol):
     if not 0.0 <= tol < np.inf:
         raise ParameterError(f"--tol must be finite and non-negative, "
                              f"got {tol}")
+
+
+def _require_seed(seed):
+    """Reject a ``--seed`` that :func:`twonorm.rand.trial_rng` cannot take."""
+    if seed < 0:
+        raise ParameterError(f"--seed must be non-negative, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +179,7 @@ def cmd_check(args):
     if args.trials < 1:
         raise ParameterError(f"--trials must be at least 1, got {args.trials}")
     _require_tol(args.tol)
+    _require_seed(args.seed)
     worst = 0.0
     for trial in range(args.trials):
         rng = rand.trial_rng(args.seed, trial)
@@ -192,6 +204,7 @@ def cmd_demo_finite_rank(args):
         raise DimMismatch(f"--rank must lie in [0, {args.dim}] for --dim "
                           f"{args.dim}, got {args.rank}")
     _require_tol(args.tol)
+    _require_seed(args.seed)
     rng = rand.trial_rng(args.seed, 0)
     ws = rand.random_space(rng, args.dim)
     f, h = rand.random_biorthogonal_system(rng, ws, args.rank)

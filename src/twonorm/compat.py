@@ -18,11 +18,13 @@ matrices are verified: :func:`buckholtz_verify` reports the residuals of
 the classical difference-of-projections identities, and
 :func:`compat_margin` given a companion holds ``Q_S = C^{-1} P+`` to a
 tolerance.  Those that follow from how a matrix is built are stated, not
-recomputed: ``Q_S+ = Q_S``, since ``A Q_S`` is Hermitian; ``C^{-1} P+ =
-Q_S`` for the default companion, the weighted complement of ``S``, since
-the projection onto ``S`` along it is ``Q_S`` itself, so ``C = 2 Q_S - I``
-is an involution; and the closed-form plus-adjoint of the transport, since
-the plus-adjoint is linear and reverses products.
+recomputed, and the tests hold their rounding: ``Q_S^2 = Q_S``, since
+``Q_S = B G^{-1} (A B)*`` with ``G = B* A B``; ``Q_S+ = Q_S``, since ``A
+Q_S`` is Hermitian; ``C^{-1} P+ = Q_S`` for the default companion, the
+weighted complement of ``S``, since the projection onto ``S`` along it is
+``Q_S`` itself, so ``C = 2 Q_S - I`` is an involution; and the closed-form
+plus-adjoint of the transport, since the plus-adjoint is linear and
+reverses products.
 """
 
 import warnings
@@ -50,7 +52,6 @@ from .subspaces import (
     _oblique_projection,
     _range_kernel,
     _require_projection,
-    _validate_idempotent_pair,
 )
 
 __all__ = [
@@ -158,8 +159,10 @@ def compat_projection(ws, s):
     for the default companion and cross-checks it against ``C^{-1} P+``
     built from a given one.  ``A Q = (A B) G^{-1} (A B)*`` with ``G = B* A
     B`` is Hermitian, so ``Q+ = A^{-1} Q* A = Q`` exactly: one operator
-    serves as both members of the pair, and only its idempotency is
-    checked.
+    serves as both members of the pair.  ``Q`` is idempotent by
+    construction and is not checked again: ``Q^2 - Q = B (G^{-1} G - I)
+    G^{-1} (A B)*`` rounds at ``u cond(A) |Q|_2^2``, and the tests hold it
+    to ``16 n u cond(A) max(1, |Q|_2)^2``.
 
     Returns
     -------
@@ -167,9 +170,7 @@ def compat_projection(ws, s):
         With ``p_plus`` the same operator as ``p``; its range ``s`` and
         nullspace, the weighted complement of ``s``, are not formed.
     """
-    q = _lproj_matrix(ws, *_in_space(ws, s))
-    _validate_idempotent_pair(ws, q, q)
-    op = Operator(q, ws)
+    op = Operator(_lproj_matrix(ws, *_in_space(ws, s)), ws)
     return ProjPair(op, op)
 
 

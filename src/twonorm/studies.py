@@ -40,6 +40,7 @@ __all__ = [
     "symmetry_truncation_study",
 ]
 
+# slack on the growth of q_norm along sizes; absolute, q_norm is at least 1
 MONO_TOL = 1e-12
 
 

@@ -21,12 +21,14 @@ factored otherwise.  The range and kernel of ``P`` are fixed by its
 construction, and each subspace computes its weighted complement once and
 keeps it.
 
-Each projection builder checks what its construction does not fix.  The
-oblique projection checks that ``P``, formed without the weight, squares
-to itself at its own rounding; ``P+``'s residual is ``P``'s moved through
-the weight, so it is not checked again.  The finite-rank projection forms
-``P`` through the weight, so its tolerance carries ``cond(A)`` and no
-longer implies that of ``P+``, and both are checked.
+A run-time check guards what the caller supplies; a matrix built here
+from an exact formula is held to its rounding by the tests, not checked
+again on every call.  So the oblique projection checks only that its pair
+splits the space: ``P`` is idempotent by its block solve and ``P+`` by
+the identity above.  The finite-rank projection takes its families from
+the caller, and its ``P`` and ``P+`` are idempotent only as far as those
+families are biorthogonal, so both are checked, at a tolerance that
+carries ``cond(A)`` since ``P`` is formed through the weight.
 
 Every factorization goes through ``numpy.linalg`` but those it has no
 routine for: the complex Schur form and LAPACK's triangular ``trsyl`` and
@@ -382,43 +384,6 @@ def subspace_equal(s1, s2):
     return s1.rank == s2.rank and max_principal_angle(s1, s2) <= TOL_ANGLE
 
 
-def _validate_idempotent_pair(ws, p, p_plus):
-    """Idempotency checks for a projection pair formed through the weight.
-
-    The two callers form ``P`` through ``A``: ``Q = B G^-1 B* A`` of
-    :func:`~twonorm.compat.compat_projection` and ``P = F H* A`` of
-    :func:`finite_rank_proper_projection`.  So the tolerance is ``c u
-    max(1, |P|_2)^2 cond(A)`` with ``c = 1e-10 / u``, about 9e5 for the
-    unit roundoff ``u = 2^-53``: the product ``P P`` rounds at ``u
-    |P|_2^2``, and the weight that forms ``P`` adds the factor ``cond(A)``.
-    That tolerance bounds ``P``'s residual only, and with the factor
-    ``cond(A)`` it no longer implies the plus-adjoint's, so ``p_plus`` is
-    checked as well, at the same tolerance; when it is ``p`` itself, as for
-    ``Q``, ``p`` is checked once.  Range and kernel hold by construction,
-    and so does ``p_plus``: it is ``p`` itself or ``H F* A``, the
-    plus-adjoint of ``p`` by construction.  :func:`oblique_projection`
-    forms ``P`` without the weight and checks it alone.
-
-    ``|P|_2`` is taken, by one SVD, only when a residual's Frobenius norm
-    exceeds ``1e-10 cond(A)``, the tolerance at ``|P|_2 <= 1``: below it
-    every scale passes, since the spectral norm is never larger;
-    ``cond(A)``, a ratio of the largest to the smallest weight eigenvalue,
-    is at least one.
-    """
-    cond = ws.weight_cond
-    checks = [(p, "projection failed the idempotency check")]
-    if p_plus is not p:
-        checks.append((p_plus, "plus-adjoint failed the idempotency check"))
-    p_norm = None
-    for m, what in checks:
-        residual = m @ m - m
-        if p_norm is None:
-            if np.linalg.norm(residual) <= 1e-10 * cond:
-                continue
-            p_norm = _spec_norm(p)
-        _require(residual, 1e-10 * max(1.0, p_norm) ** 2 * cond, what)
-
-
 def _block_solve_projection(s, t):
     """Idempotent with range ``s`` and nullspace ``t`` by a block solve."""
     inv = np.linalg.inv(np.hstack([s.basis, t.basis]))
@@ -449,9 +414,6 @@ def oblique_projection(ws, s, t):
     ------
     NotComplementary
         If the pair does not split the space at the gap tolerance.
-    ArithmeticError
-        If ``P`` fails its idempotency check beyond the rounding its
-        tolerance allows.
     """
     return _oblique_projection(ws, s, t)[0]
 
@@ -466,27 +428,23 @@ def _oblique_projection(ws, s, t):
     pair, which factors an ``n x min(r, n - r)`` residual and no ``n x n``
     matrix; the stacked bases are inverted once, to build ``P``.
 
-    One idempotency check is made, of ``P``, to ``c u |P|_2^2`` with ``c =
-    1e-10 / u``, about 9e5.  ``P = B_S X`` is formed without the weight, so
-    it rounds at ``u kappa |P|_2 <= 2 u |P|_2^2``, as ``kappa = (1 + cos) /
-    sin <= 2 |P|_2``, and no factor ``cond(A)`` enters.  ``P+``'s residual
-    is ``P``'s moved through the weight, ``(P+)^2 - P+ = A^{-1} (P^2 - P)*
-    A`` exactly, so checking it would add only the rounding of that
-    similarity, up to ``u |P+|_2^2`` with ``|P+|_2`` as large as ``cond(A)
-    |P|_2``; ``|A^{-1} X* A|_2 <= cond(A) |X|_2`` makes the check of ``P``
-    the stronger of the two in exact arithmetic.  That ``P+`` is the
-    projection onto ``t``'s weighted complement along ``s``'s is a theorem,
-    not a rounding question, so no second route checks it.
+    ``P`` is idempotent by construction and is not checked again; the
+    tests hold it to ``4 n u |P|_2^2``.  ``P = B_S X`` is formed without the
+    weight, so it rounds at ``u kappa |P|_2 <= 2 u |P|_2^2``, as ``kappa =
+    (1 + cos) / sin <= 2 |P|_2``, and no factor ``cond(A)`` enters.
+    ``P+``'s residual is ``P``'s moved through the weight, ``(P+)^2 - P+ =
+    A^{-1} (P^2 - P)* A`` exactly, up to the rounding of that similarity.
+    That ``P+`` is the projection onto ``t``'s weighted complement along
+    ``s``'s is a theorem, not a rounding question, so no second route
+    checks it.
     """
     s, t = _in_space(ws, s, t)
-    gap, kappa, p_norm = _splitting(s, t)
+    gap, kappa, _ = _splitting(s, t)
     if gap <= TOL_GAP:
         raise NotComplementary(
             f"pair does not split the space (gap {gap:.3e} <= {TOL_GAP:.0e})"
         )
     p = _block_solve_projection(s, t)
-    _require(p @ p - p, 1e-10 * p_norm ** 2,
-             "projection failed the idempotency check")
     return ProjPair(Operator(p, ws), Operator(ws.plus_matrix(p), ws)), kappa
 
 
@@ -571,6 +529,17 @@ def finite_rank_proper_projection(ws, f_list, h_list):
     of the ``f_i``, which biorthogonality makes independent, and the
     nullspace the weighted complement of the span of the ``h_i``.
 
+    Families inside ``TOL_BIO`` can still give a ``P`` that is not a
+    projection, so ``P`` and ``P+`` are both checked, to ``c u max(1,
+    |P|_2)^2 cond(A)`` with ``c = 1e-10 / u``, about 9e5 for the unit
+    roundoff ``u = 2^-53``: the product ``P P`` rounds at ``u |P|_2^2``,
+    and the weight that forms ``P`` adds the factor ``cond(A)``, with which
+    ``P``'s residual no longer bounds ``P+``'s.  ``|P|_2`` is taken, by one
+    SVD, only when a residual's Frobenius norm exceeds ``1e-10 cond(A)``,
+    the tolerance at ``|P|_2 <= 1``: below it every scale passes, since the
+    spectral norm is never larger; ``cond(A)``, a ratio of the largest to
+    the smallest weight eigenvalue, is at least one.
+
     Returns
     -------
     ProjPair
@@ -579,6 +548,8 @@ def finite_rank_proper_projection(ws, f_list, h_list):
     ------
     BiorthogonalityViolated
         If the cross-Gram of the families is not the identity at ``TOL_BIO``.
+    ArithmeticError
+        If ``P`` or ``P+`` fails its idempotency check.
     """
     f = _vectors_as_columns(ws, f_list)
     h = _vectors_as_columns(ws, h_list)
@@ -593,7 +564,16 @@ def finite_rank_proper_projection(ws, f_list, h_list):
         )
     p = f @ h_dual
     p_plus = h @ ws.dual(f)
-    _validate_idempotent_pair(ws, p, p_plus)
+    cond = ws.weight_cond
+    p_norm = None
+    for x, what in ((p, "projection"), (p_plus, "plus-adjoint")):
+        residual = x @ x - x
+        if p_norm is None:
+            if np.linalg.norm(residual) <= 1e-10 * cond:
+                continue
+            p_norm = _spec_norm(p)
+        _require(residual, 1e-10 * max(1.0, p_norm) ** 2 * cond,
+                 f"{what} failed the idempotency check")
     return ProjPair(Operator(p, ws), Operator(p_plus, ws))
 
 

@@ -31,6 +31,13 @@ def modest_space(rng, n, floor=1e-2):
     return tn.make_space(n, (u * d) @ u.conj().T)
 
 
+def unit_rank_one(rng, n):
+    """Rank-one complex ``n x n`` matrix of unit spectral norm."""
+    err = np.outer(rand._complex_gauss(rng, n),
+                   rand._complex_gauss(rng, n).conj())
+    return err / np.linalg.norm(err, 2)
+
+
 def rotated_normal(rng, k):
     """Normal matrix with complex Gaussian eigenvalues."""
     u = rand.haar_unitary(rng, k)

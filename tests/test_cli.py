@@ -109,6 +109,40 @@ def test_tolerance_must_be_finite_and_non_negative(argv, tol, capsys):
         f"twonorm: --tol must be finite and non-negative, got {float(tol)}\n")
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["check", "compat"], -1),
+    (["demo", "finite_rank"], -3),
+])
+def test_seed_must_be_non_negative(argv, seed, capsys):
+    """``rand.trial_rng`` seeds numpy with ``seed XOR trial``, which takes
+    no negative integer."""
+    assert run_cli([*argv, f"--seed={seed}"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"twonorm: --seed must be non-negative, got {seed}\n")
+
+
+@pytest.mark.parametrize("argv, k", [
+    (["demo", "cq", "--z", "scalar:1"], -2),
+    (["demo", "cq", "--z", "scalar:1"], 0),
+    (["demo", "two_companions", "--z", "diag:1,2", "--t", "scalar:1"], 0),
+    (["demo", "sylvester", "--c", "scalar:1", "--d", "scalar:2",
+      "--w", "scalar:1"], -1),
+    (["riesz", "--t", "scalar:1", "--lambda", "1", "--eps", "0.1"], 0),
+])
+def test_scalar_literal_size_must_be_at_least_one(argv, k, capsys):
+    assert run_cli([*argv, f"--k={k}"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"twonorm: --k must be at least 1, got {k}\n")
+
+
+@pytest.mark.parametrize("literal", ["diag:", "diag:1,,2", "diag:1,x",
+                                     "scalar:"])
+def test_malformed_literal_entry_names_the_literal(literal, capsys):
+    assert run_cli(["demo", "cq", "--z", literal, "--k", "2"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"twonorm: bad entry in matrix literal {literal!r}\n")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--lambda", "1", "--eps", "inf"],
      "contour radius eps must be positive and finite, got inf"),

@@ -3,6 +3,7 @@ every module-level private function, every method and property of a class
 and every UPPER_CASE module constant is read by some module of it, every
 cross-check that raises on a spectral norm goes through ``space._require``,
 no statement throws away the value of a package function that returns one,
+every module-level tolerance states its scaling in the comment above it,
 no public name is declared by two modules, only ``matio`` imports
 ``json``, only ``cli`` imports ``matio``, ``studies`` imports no package
 module but ``errors``, only ``space`` knows how the weight is stored, no instance is made past its constructor with
@@ -258,6 +259,57 @@ def test_unread_module_constant_is_reported(tmp_path):
                                                 "a.py:5 _PRIVATE_UNREAD",
                                                 "a.py:7 TOL_DERIVED",
                                                 "b.py:4 TOL_UNREAD"]
+
+
+def _unscaled_tolerances(modules):
+    """Module-level ``TOL_*`` and ``*_TOL`` constants whose comment block,
+    the ``#`` lines directly above the assignment, does not say whether the
+    tolerance is absolute, relative (to something) or scale-free."""
+    hits = []
+    for path in modules:
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)
+                     and re.fullmatch(r"_?(TOL_[A-Z0-9_]+|[A-Z0-9_]+_TOL)",
+                                      t.id)]
+            if not names:
+                continue
+            row = node.lineno - 2
+            while row >= 0 and lines[row].lstrip().startswith("#"):
+                row -= 1
+            comment = " ".join(lines[row + 1:node.lineno - 1])
+            if not re.search(r"\b(absolute|relative|scale-free)\b", comment):
+                hits.extend(f"{path.name}:{node.lineno} {name}"
+                            for name in names)
+    return hits
+
+
+def test_every_tolerance_states_its_scaling():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _unscaled_tolerances(modules) == []
+
+
+def test_tolerance_without_a_stated_scaling_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("# gap of a pair; absolute\nTOL_GAP = 1e-10\n"
+                   "# rank cut, relative to the largest\n"
+                   "# singular value\n_TOL_RANK = 1e-10\n"
+                   "# angle in radians; scale-free\nANGLE_TOL = 1e-8\n"
+                   "MONO_TOL = 1e-12\n"
+                   "# slack on the norm cap\nTOL_CAP = 1e-12\n"
+                   "# absolute\n\nTOL_SPLIT = 1e-9\n"
+                   "# relatively small, but of what\nTOL_VAGUE = 1e-6\n"
+                   "tol_lower = 1e-3\nTOLERANCE = 1e-3\n")
+    assert _unscaled_tolerances([mod]) == ["mod.py:8 MONO_TOL",
+                                           "mod.py:10 TOL_CAP",
+                                           "mod.py:13 TOL_SPLIT",
+                                           "mod.py:15 TOL_VAGUE"]
 
 
 def _hand_rolled_norm_checks(path):

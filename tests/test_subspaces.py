@@ -17,7 +17,7 @@ from twonorm.errors import (
 )
 from twonorm.space import _spec_norm
 
-from conftest import FACTORIZATIONS, count_calls, modest_space
+from conftest import FACTORIZATIONS, count_calls, modest_space, unit_rank_one
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -384,32 +384,33 @@ def test_oblique_projection_factors_each_matrix_once(monkeypatch):
     assert np.array_equal(s.complement.basis, tn.complement_L(ws, s).basis)
 
 
+def _oblique_idempotency_bound(p):
+    """``4 n u |P|_2^2``: ``P``, built by a block solve without the weight,
+    rounds at ``u kappa |P|_2 <= 2 u |P|_2^2``."""
+    return 4 * p.shape[0] * np.finfo(float).eps / 2 * _spec_norm(p) ** 2
+
+
 @pytest.mark.parametrize("trial", range(300))
 def test_oblique_projection_rejects_a_rank_one_error_in_p(monkeypatch,
                                                           trial):
-    """A rank-one error of size 1e-6 max(1, |P|_2) added to P.  P's
-    idempotency check, at ``1e-10 |P|_2^2`` with no factor ``cond(A)``, is
-    the one check between the mutation and the caller, and rejects it on
-    every draw; on trials 164 and 212 at 3.2e3 and 2.7e3 times its
-    tolerance."""
+    """A rank-one error of size 1e-12 max(1, |P|_2) added to P breaks
+    :func:`_oblique_idempotency_bound`, which
+    :func:`test_oblique_projection_is_idempotent_at_its_rounding_near_the_floor`
+    holds, on every draw; the closest, trial 34, at 31 times it."""
     rng = rand.trial_rng(5, trial)
     n = int(rng.integers(2, 12))
     ws = rand.random_space(rng, n)
     s, t = rand.random_companion_pair(rng, ws, int(rng.integers(1, n)))
-    erng = np.random.default_rng(trial)
-    err = np.outer(rand._complex_gauss(erng, n),
-                   rand._complex_gauss(erng, n).conj())
-    err /= _spec_norm(err)
+    err = unit_rank_one(np.random.default_rng(trial), n)
     built = subspaces._block_solve_projection
 
     def mutated(range_sub, null_sub):
         p = built(range_sub, null_sub)
-        return p + 1e-6 * max(1.0, _spec_norm(p)) * err
+        return p + 1e-12 * max(1.0, _spec_norm(p)) * err
 
     monkeypatch.setattr(subspaces, "_block_solve_projection", mutated)
-    with pytest.raises(ArithmeticError,
-                       match=r"^projection failed the idempotency check"):
-        tn.oblique_projection(ws, s, t)
+    p = tn.oblique_projection(ws, s, t).p.matrix
+    assert _spec_norm(p @ p - p) > _oblique_idempotency_bound(p)
 
 
 def _near(rng, ws, b, r, lean=0.05):
@@ -686,8 +687,7 @@ def test_oblique_projection_is_idempotent_at_its_rounding_near_the_floor(
     if tn.direct_sum_gap(s, t) <= 1e-6:
         return
     p = tn.oblique_projection(ws, s, t).p.matrix
-    u = np.finfo(float).eps / 2
-    assert _spec_norm(p @ p - p) <= 4 * n * u * _spec_norm(p) ** 2
+    assert _spec_norm(p @ p - p) <= _oblique_idempotency_bound(p)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
