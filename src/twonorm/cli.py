@@ -27,7 +27,7 @@ __all__ = ["main"]
 
 def parse_matrix_literal(text, k=None):
     """Parse ``diag:a,b,..``, ``scalar:c`` or ``file:PATH`` into a matrix
-    with finite entries."""
+    with finite entries; a ``scalar:`` literal is ``k x k``."""
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"bad matrix literal {text!r}")
@@ -37,8 +37,6 @@ def parse_matrix_literal(text, k=None):
         raise ValueError(f"unknown matrix literal kind {kind!r}")
     if kind == "scalar" and k is None:
         raise ValueError("scalar literal needs an explicit --k size")
-    if kind == "scalar" and k < 1:
-        raise ValueError(f"--k must be at least 1, got {k}")
     cells = rest.split(",") if kind == "diag" else [rest]
     try:
         entries = np.array([complex(cell.strip()) for cell in cells])
@@ -75,6 +73,19 @@ def _require_seed(seed):
         raise ParameterError(f"--seed must be non-negative, got {seed}")
 
 
+def _sized_literals(k, *texts):
+    """Parse the matrix literals ``--k`` sizes: a given ``--k`` must be at
+    least 1 and each literal's size, which it sets for a ``scalar:`` one."""
+    if k is not None and k < 1:
+        raise ParameterError(f"--k must be at least 1, got {k}")
+    mats = [parse_matrix_literal(text, k) for text in texts]
+    for text, m in zip(texts, mats):
+        if k is not None and m.shape != (k, k):
+            raise ParameterError(f"--k is {k} but matrix literal {text!r} "
+                                 f"is {m.shape[0]} x {m.shape[1]}")
+    return mats
+
+
 # ---------------------------------------------------------------------------
 # check suites
 
@@ -106,8 +117,7 @@ def _suite_compat(rng, ws):
     r = int(rng.integers(1, ws.dim))
     s, t1 = rand.random_companion_pair(rng, ws, r)
     _, t2 = rand.random_companion_pair(rng, ws, r)
-    # each margin's residual checks the canonical projection against its
-    # companion's C^{-1} P+
+    # each margin's residual compares Q with its companion's C^{-1} P+
     rep1 = compat.compat_margin(ws, s, t1)
     rep2 = compat.compat_margin(ws, s, t2)
     return max((rep.residual_cross or 0.0) / rep.kappa_c
@@ -226,7 +236,7 @@ def cmd_demo_finite_rank(args):
 
 
 def _riesz_run(args):
-    t = parse_matrix_literal(args.t, args.k)
+    (t,) = _sized_literals(args.k, args.t)
     n = t.shape[0]
     weight = np.eye(n) if args.weight is None \
         else parse_matrix_literal(args.weight, n)
@@ -250,15 +260,14 @@ def _riesz_run(args):
 
 
 def cmd_demo_cq(args):
-    z = parse_matrix_literal(args.z, args.k)
+    (z,) = _sized_literals(args.k, args.z)
     model = schatten.matrix_space(2 * z.shape[0])
     report = asdict(schatten.cq_compat_demo(model, z))
     return report, _one_row(report), True
 
 
 def cmd_demo_two_companions(args):
-    z = parse_matrix_literal(args.z, args.k)
-    t = parse_matrix_literal(args.t, args.k)
+    z, t = _sized_literals(args.k, args.z, args.t)
     model = schatten.matrix_space(2 * z.shape[0])
     report = asdict(schatten.two_companions_demo(model, z, t))
     return report, _one_row(report), True
@@ -266,9 +275,7 @@ def cmd_demo_two_companions(args):
 
 def cmd_demo_sylvester(args):
     _require_tol(args.tol)
-    c = parse_matrix_literal(args.c, args.k)
-    d = parse_matrix_literal(args.d, args.k)
-    w = parse_matrix_literal(args.w, args.k)
+    c, d, w = _sized_literals(args.k, args.c, args.d, args.w)
     result = schatten.sylvester(c, d, w, force=args.force)
     report = {
         "solvable": result.solvable,

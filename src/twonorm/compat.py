@@ -13,15 +13,15 @@ compatibility.
 The module also provides the transport operator moving one companion onto
 another while fixing the subspace.
 
-Two kinds of identity appear here.  Those that compare independently built
-matrices are verified: :func:`buckholtz_verify` reports the residuals of
-the classical difference-of-projections identities, and
-:func:`compat_margin` given a companion holds ``Q_S = C^{-1} P+`` to a
-tolerance.  Those that follow from how a matrix is built are stated, not
-recomputed, and the tests hold their rounding: ``Q_S^2 = Q_S``, since
+Two kinds of identity appear here, and the tests hold both to their
+rounding.  An identity between independently built matrices is reported
+as a residual, never raised on: :func:`buckholtz_verify` reports those of
+the difference-of-projections identities, and :func:`compat_margin` given
+a companion that of ``Q_S = C^{-1} P+``.  An identity that follows from
+how a matrix is built is stated, not recomputed: ``Q_S^2 = Q_S``, since
 ``Q_S = B G^{-1} (A B)*`` with ``G = B* A B``; ``Q_S+ = Q_S``, since ``A
 Q_S`` is Hermitian; ``C^{-1} P+ = Q_S`` for the default companion, the
-weighted complement of ``S``, since the projection onto ``S`` along it is
+weighted complement of ``S``, along which the projection onto ``S`` is
 ``Q_S`` itself, so ``C = 2 Q_S - I`` is an involution; and the closed-form
 plus-adjoint of the transport, since the plus-adjoint is linear and
 reverses products.
@@ -38,7 +38,6 @@ from .space import (
     as_matrix,
     opnorm,
     proper_norm,
-    _require,
     _require_finite,
     _spec_norm,
 )
@@ -85,7 +84,7 @@ class CompatReport:
     the formula route was suppressed as ill-conditioned); ``kappa_c`` is the
     condition number ``s_max / s_min`` of ``C``, read from the same singular
     values as the margin (``inf`` when ``C`` is exactly singular), which
-    scales the tolerance that residual is held to; ``is_compatible``
+    scales that residual's rounding; ``is_compatible``
     records margin positivity, which holds by construction up to the SVD's
     rounding of ``p(n) u |C|_2``: ``margin_c >= cond(A)^{-1/2}``.  In
     L-coordinates ``C`` is ``P~ + P~* - I``, whose square in the Halmos form
@@ -156,7 +155,7 @@ def compat_projection(ws, s):
 
     It is the weighted-orthogonal projection ``Q = B (B* A B)^{-1} B* A``,
     so it depends on ``s`` alone; :func:`compat_margin` reads ``C`` from it
-    for the default companion and cross-checks it against ``C^{-1} P+``
+    for the default companion and reports its distance from ``C^{-1} P+``
     built from a given one.  ``A Q = (A B) G^{-1} (A B)*`` with ``G = B* A
     B`` is Hermitian, so ``Q+ = A^{-1} Q* A = Q`` exactly: one operator
     serves as both members of the pair.  ``Q`` is idempotent by
@@ -183,18 +182,17 @@ def compat_margin(ws, s, t=None):
     :func:`compat_projection`: ``P = P+ = Q`` and ``C = 2Q - I``, so ``C``
     is built from ``Q`` alone and no complement is formed.  With no second
     route to compare, ``residual_cross`` is None and nothing warns.  Given
-    a companion ``t``, ``P`` is the oblique projection onto
-    ``s`` along ``t``, and ``Q`` must agree with ``C^{-1} P+``; that
-    cross-check is skipped, with an :class:`IllConditionedWarning`, when
-    ``C`` is numerically singular.
+    a companion ``t``, ``P`` is the oblique projection onto ``s`` along
+    ``t``, and ``residual_cross`` is the distance of ``C^{-1} P+`` from
+    ``Q``, or None, with an :class:`IllConditionedWarning`, when ``C`` is
+    numerically singular.
 
-    ``C`` counts as singular when ``kappa(C) > 1e12``, that is when its
-    smallest singular value is below ``c u s_max`` with ``c = 1e-12 / u``,
-    about 9e3 for ``u = 2^-53``: a solve with ``C`` is then off by ``u
-    kappa(C)``, above 1e-4, and the cross-check could not tell the routes
-    apart.  Otherwise the routes must agree to ``c u kappa(C) cond(A)``
-    with ``c = 1e-9 / u``, about 9e6: the solve adds ``kappa(C)`` and
-    ``P+ = A^{-1} P* A`` adds ``cond(A)``.
+    ``C`` counts as singular when ``kappa(C) > 1e12``: a solve with ``C``
+    is then off by ``u kappa(C)``, above 1e-4, and the residual could not
+    tell the routes apart.  Otherwise it is reported, never raised on: the
+    routes agree by the theorem, and differ by rounding of order ``u
+    kappa(C) cond(A)``, from the solve and from ``P+ = A^{-1} P* A``; the
+    tests hold it to ``16 u kappa(C) cond(A)``.
 
     Returns
     -------
@@ -217,9 +215,6 @@ def compat_margin(ws, s, t=None):
         )
     elif t is not None:
         residual = _spec_norm(np.linalg.solve(c, pair.p_plus.matrix) - q)
-        _require(residual,
-                 1e-9 * kappa_c * ws.weight_cond,
-                 "projection routes disagree")
     return CompatReport(
         margin_c=margin,
         q_norm=opnorm(ws, q, "E"),

@@ -1,13 +1,13 @@
 """Exception hierarchy for :mod:`twonorm`.
 
-All library errors derive from :class:`TwoNormError` so callers can catch
-everything coming out of this package with a single except clause.
-
-Errors that blame the input derive from :class:`ParameterError`: a shape,
-weight, exponent, contour, subspace pair or file the caller supplied.  The
-command line exits 2 on them (and on ``ValueError``).  The other
-``TwoNormError`` classes report a numerical check that failed on valid
-input, and the command line exits 1 on them.
+Not every error the package raises is a :class:`TwoNormError`; the
+command line sorts them into its exit codes.  Input faults exit 2: the
+:class:`ParameterError` classes (a shape, weight, exponent, contour,
+subspace pair or file the caller supplied) and ``ValueError`` (such as a
+non-finite entry, a malformed literal or file, or a bad study size).  A
+check that fails on valid input exits 1: the other ``TwoNormError``
+classes and ``ArithmeticError`` (families that are not a projection, an
+overflow of finite input, a failed LAPACK solve).
 """
 
 __all__ = [

@@ -91,7 +91,7 @@ def _spec_norm(m):
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _require(residual, tol, what, error=ArithmeticError):
+def _require(residual, tol, what, error):
     """Raise ``error`` unless a cross-check's residual is within ``tol``.
 
     A matrix residual is measured by its spectral norm.  It passes at once

@@ -37,8 +37,8 @@ routine for: the complex Schur form and LAPACK's triangular ``trsyl`` and
 and each imports them inside its body, so no other command loads their
 library.  numpy's SVD, QR, inverse and solve do not check their input for
 finiteness, so each matrix they factor is finite by construction or by a
-check: :func:`span` and the range and kernel splits, which take caller
-data, reject a non-finite entry before the SVD.
+check: :class:`Subspace`, :func:`span` and the range and kernel splits,
+which take caller data, reject a non-finite entry before any SVD.
 
 A function that takes the space and a :class:`Subspace` reads the subspace
 in that space: one built on another space of the same dimension is read
@@ -124,7 +124,7 @@ class Subspace:
     take the unitary factor of a QR, and
     :func:`twonorm.matio.load_subspace` re-orthonormalizes what it reads.
     Build one directly only from orthonormal columns; :func:`span` accepts
-    any family of vectors.
+    any family of vectors.  A NaN or infinite entry raises ``ValueError``.
     """
 
     basis: np.ndarray
@@ -136,6 +136,7 @@ class Subspace:
             raise DimMismatch(
                 f"basis must be {self.space.dim} x r, got shape {b.shape}"
             )
+        _require_finite("basis", b)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -573,7 +574,7 @@ def finite_rank_proper_projection(ws, f_list, h_list):
                 continue
             p_norm = _spec_norm(p)
         _require(residual, 1e-10 * max(1.0, p_norm) ** 2 * cond,
-                 f"{what} failed the idempotency check")
+                 f"{what} failed the idempotency check", ArithmeticError)
     return ProjPair(Operator(p, ws), Operator(p_plus, ws))
 
 

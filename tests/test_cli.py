@@ -135,6 +135,61 @@ def test_scalar_literal_size_must_be_at_least_one(argv, k, capsys):
         f"twonorm: --k must be at least 1, got {k}\n")
 
 
+@pytest.mark.parametrize("argv, k", [
+    (["demo", "cq", "--z", "diag:1,2"], -2),
+    (["demo", "two_companions", "--z", "diag:0.5,0.5", "--t", "diag:1,-1"],
+     0),
+    (["demo", "sylvester", "--c", "diag:1", "--d", "diag:2",
+      "--w", "diag:1"], 0),
+    (["riesz", "--t", "diag:1,2", "--lambda", "1", "--eps", "0.1"], -1),
+])
+def test_k_below_one_is_rejected_beside_a_diag_literal(argv, k, capsys):
+    assert run_cli([*argv, f"--k={k}"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"twonorm: --k must be at least 1, got {k}\n")
+
+
+def _two_by_two_file(tmp_path):
+    """A ``file:`` literal of a 2 x 2 weight."""
+    path = tmp_path / "m.mat"
+    matio.dump_matrix(np.diag([1.0, 0.5]), path)
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("flags, k, bad", [
+    (["demo", "cq", "--z", "diag:1,2"], 5, "diag:1,2"),
+    (["demo", "cq", "--z", "FILE"], 3, "FILE"),
+    (["demo", "two_companions", "--z", "scalar:0.5", "--t", "FILE"], 1,
+     "FILE"),
+    (["demo", "sylvester", "--c", "diag:1,2,3", "--d", "scalar:5",
+      "--w", "FILE"], 3, "FILE"),
+    (["riesz", "--t", "diag:1,2", "--lambda", "1", "--eps", "0.1"], 3,
+     "diag:1,2"),
+])
+def test_k_must_equal_the_size_of_diag_and_file_literals(flags, k, bad,
+                                                         tmp_path, capsys):
+    """``--k`` sets a ``scalar:`` literal's size, and a ``diag:`` or
+    ``file:`` literal beside it must have that size."""
+    literal = _two_by_two_file(tmp_path)
+    argv = [literal if flag == "FILE" else flag for flag in flags]
+    bad = literal if bad == "FILE" else bad
+    assert run_cli([*argv, f"--k={k}"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"twonorm: --k is {k} but matrix literal {bad!r} is 2 x 2\n")
+
+
+def test_riesz_weight_is_sized_by_the_operator_not_by_k(tmp_path, capsys):
+    code, _ = run_cli(["riesz", "--t", "scalar:1", "--lambda", "1",
+                       "--eps", "0.1", "--k", "2",
+                       "--weight", _two_by_two_file(tmp_path)])
+    assert code == 0
+    assert run_cli(["riesz", "--t", "diag:1,2", "--lambda", "1",
+                    "--eps", "0.1", "--k", "2",
+                    "--weight", "diag:1,1,1"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "twonorm: weight must be 2 x 2, got shape (3, 3)\n")
+
+
 @pytest.mark.parametrize("literal", ["diag:", "diag:1,,2", "diag:1,x",
                                      "scalar:"])
 def test_malformed_literal_entry_names_the_literal(literal, capsys):
@@ -582,8 +637,7 @@ def test_out_file_holds_the_bytes_stdout_would(argv, fmt, tmp_path):
      "block must be square, got shape (2, 3)"),
     (["demo", "two_companions", "--z", "{z23}", "--t", "diag:1,-1"],
      "block must be square, got shape (2, 3)"),
-    (["demo", "two_companions", "--z", "scalar:0.5", "--t", "diag:1,-1,1",
-      "--k", "2"],
+    (["demo", "two_companions", "--z", "diag:0.5,0.6", "--t", "diag:1,-1,1"],
      "t must be 2 x 2, got shape (3, 3)"),
     (["demo", "two_companions", "--z", "diag:0.5,0.6", "--t", "{z23}"],
      "t must be square, got shape (2, 3)"),

@@ -291,6 +291,78 @@ def test_compat_margin_is_at_least_the_weight_bound(drawn):
     assert rep.is_compatible
 
 
+def _routes_bound(ws, rep):
+    """``16 u kappa_c cond(A)``: ``C^{-1} P+`` and ``Q`` agree by the
+    theorem, and their difference is the rounding of the solve with ``C``,
+    ``u kappa_c``, times that of ``P+ = A^{-1} P* A``, ``cond(A)``."""
+    return 16 * np.finfo(float).eps / 2 * rep.kappa_c * ws.weight_cond
+
+
+@st.composite
+def _companion_margin_draw(draw):
+    """Dimension n in [3, 12], the log10 of the smallest weight eigenvalue
+    and a seed."""
+    return (draw(st.integers(3, 12)), draw(st.floats(-12.0, -1.0)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_companion_margin_draw())
+def test_compat_margin_routes_agree_at_their_rounding(drawn):
+    """Wherever ``residual_cross`` is reported it is within
+    :func:`_routes_bound`.  Over 1065 seeded pairs of this kind (floors
+    1e-2 down to 1e-11.99) the worst was ``1.4 u kappa_c cond(A)``, about
+    11 times below the bound."""
+    n, log_floor, seed = drawn
+    rng = np.random.default_rng(seed)
+    ws = modest_space(rng, n, floor=10.0 ** log_floor)
+    try:
+        s, t = rand.random_companion_pair(rng, ws, int(rng.integers(1, n)),
+                                          attempts=50)
+    except RuntimeError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        rep = tn.compat_margin(ws, s, t)
+    if rep.residual_cross is not None:
+        assert rep.residual_cross <= _routes_bound(ws, rep)
+
+
+def test_compat_margin_routes_bound_catches_a_rank_one_error(monkeypatch):
+    """A rank-one error of size ``delta = 1e-8 max(1, |Q|_2)`` added to
+    ``Q``, on 291 pairs with weight floors log-uniform in [1e-8, 1e-1],
+    breaks :func:`_routes_bound` on 180 of them; a tolerance of 1e-9
+    ``kappa_c cond(A)`` would see 2.  The bound grows with ``cond(A)``, so
+    an error below it cannot be seen; every error at least twice the bound
+    is, and 173 of the draws have one."""
+    lproj = compat._lproj_matrix
+    pairs = caught = 0
+    for trial in range(300):
+        rng = rand.trial_rng(5, trial)
+        n = int(rng.integers(3, 13))
+        ws = modest_space(rng, n, floor=10.0 ** rng.uniform(-8.0, -1.0))
+        try:
+            s, t = rand.random_companion_pair(
+                rng, ws, int(rng.integers(1, n)), attempts=50)
+        except RuntimeError:
+            continue
+        err = unit_rank_one(np.random.default_rng(trial), n)
+
+        def mutated(space, sub):
+            q = lproj(space, sub)
+            return q + 1e-8 * max(1.0, _spec_norm(q)) * err
+
+        monkeypatch.setattr(compat, "_lproj_matrix", mutated)
+        rep = tn.compat_margin(ws, s, t)
+        bound = _routes_bound(ws, rep)
+        pairs += 1
+        caught += rep.residual_cross > bound
+        if 1e-8 * max(1.0, rep.q_norm) >= 2 * bound:
+            assert rep.residual_cross > bound, trial
+    assert pairs == 291
+    assert caught > pairs // 2
+
+
 def test_compat_margin_default_companion_takes_one_solve_and_two_svds(
         monkeypatch):
     """With no companion, ``C = 2 Q - I`` is read from the canonical

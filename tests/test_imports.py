@@ -2,15 +2,16 @@
 every module-level private function, every method and property of a class
 and every UPPER_CASE module constant is read by some module of it, every
 cross-check that raises on a spectral norm goes through ``space._require``,
-no statement throws away the value of a package function that returns one,
-every module-level tolerance states its scaling in the comment above it,
-no public name is declared by two modules, only ``matio`` imports
-``json``, only ``cli`` imports ``matio``, ``studies`` imports no package
-module but ``errors``, only ``space`` knows how the weight is stored, no instance is made past its constructor with
-``object.__new__``, scipy is imported only inside functions and only for
-what numpy lacks (the Schur form, the triangular LAPACK kernels and
-ARPACK), and every command that takes no Schur form runs without loading
-scipy."""
+``ArithmeticError`` is raised only by a listed few functions, no statement
+throws away the value of a package function that returns one, every
+module-level tolerance states its scaling in the comment above it, no
+public name is declared by two modules, only ``matio`` imports ``json``,
+only ``cli`` imports ``matio``, ``studies`` imports no package module but
+``errors``, only ``space`` knows how the weight is stored, no instance is
+made past its constructor with ``object.__new__``, scipy is imported only
+inside functions and only for what numpy lacks (the Schur form, the
+triangular LAPACK kernels and ARPACK), and every command that takes no
+Schur form runs without loading scipy."""
 
 import ast
 import json
@@ -379,6 +380,90 @@ def test_hand_rolled_norm_check_is_reported(tmp_path):
         "        raise ArithmeticError('drifted')\n")
     assert _hand_rolled_norm_checks(mod) == ["mod.py:8 direct",
                                              "mod.py:15 through_locals"]
+
+
+# The functions that may raise ArithmeticError: a caller's families that
+# are not a projection, an overflow of finite input, and a LAPACK failure.
+# Every other identity the package computes is true by construction and is
+# reported or tested, not raised on.
+ARITHMETIC_ERROR_SITES = {"subspaces.finite_rank_proper_projection",
+                          "schatten._require_no_overflow",
+                          "schatten.sylvester"}
+
+
+def _arithmetic_error_sites(modules):
+    """``module.function`` (``module.Class.method`` for a method) of every
+    function that raises ``ArithmeticError`` or passes it to ``_require``,
+    nested functions counting as their enclosing one, and
+    ``module._require`` when that function has a default error."""
+    def names_arithmetic(node):
+        return isinstance(node, ast.Name) and node.id == "ArithmeticError"
+
+    sites = set()
+    for path in modules:
+        funcs = []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                funcs.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                funcs.extend((f"{node.name}.{m.name}", m) for m in node.body
+                             if isinstance(m, ast.FunctionDef))
+        for name, func in funcs:
+            site = f"{path.stem}.{name}"
+            if func.name == "_require" and (
+                    func.args.defaults or any(func.args.kw_defaults)):
+                sites.add(site)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise) and node.exc is not None and (
+                        names_arithmetic(node.exc)
+                        or isinstance(node.exc, ast.Call)
+                        and names_arithmetic(node.exc.func)):
+                    sites.add(site)
+                if isinstance(node, ast.Call) and isinstance(
+                        node.func, ast.Name) and node.func.id == "_require" \
+                        and any(names_arithmetic(arg) for arg in
+                                [*node.args, *(k.value for k in
+                                               node.keywords)]):
+                    sites.add(site)
+    return sorted(sites)
+
+
+def test_arithmetic_errors_only_at_listed_sites():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert _arithmetic_error_sites(modules) == sorted(ARITHMETIC_ERROR_SITES)
+
+
+def test_arithmetic_error_site_is_reported(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def _require(residual, tol, what, error=ArithmeticError):\n"
+        "    if residual > tol:\n"
+        "        raise error(what)\n\n\n"
+        "def bare(x):\n"
+        "    raise ArithmeticError\n\n\n"
+        "def nested(x):\n"
+        "    def inner():\n"
+        "        raise ArithmeticError('inner')\n"
+        "    return inner\n\n\n"
+        "def positional(x):\n"
+        "    _require(x, 1.0, 'drifted', ArithmeticError)\n\n\n"
+        "def keyword(x):\n"
+        "    _require(x, 1.0, 'drifted', error=ArithmeticError)\n\n\n"
+        "def input_check(x):\n"
+        "    _require(x, 1.0, 'bad input', ValueError)\n"
+        "    raise ValueError('bad')\n\n\n"
+        "def caught(x):\n"
+        "    try:\n"
+        "        return 1 / x\n"
+        "    except ArithmeticError:\n"
+        "        return 0\n\n\n"
+        "class Space:\n"
+        "    def method(self):\n"
+        "        raise ArithmeticError('in a method')\n")
+    assert _arithmetic_error_sites([mod]) == [
+        "mod.Space.method", "mod._require", "mod.bare", "mod.keyword",
+        "mod.nested", "mod.positional"]
 
 
 def _names_in_two_modules(modules):

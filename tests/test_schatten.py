@@ -218,6 +218,25 @@ def test_demo_sylvester_on_empty_matrices_is_a_parameter_error(
         "twonorm: coefficients must be square and non-empty, got (0, 0)\n")
 
 
+def test_trsyl_failure_is_an_arithmetic_error(monkeypatch, capsys):
+    """A nonzero ``info`` from ``trsyl`` raises, naming it, and the demo
+    exits 1 with that line."""
+    get = la.get_lapack_funcs
+
+    def failing(names, arrays=(), *args, **kwargs):
+        fn = get(names, arrays, *args, **kwargs)
+        if names != "trsyl":
+            return fn
+        return lambda *a, **kw: (*fn(*a, **kw)[:2], 1)
+
+    monkeypatch.setattr(la, "get_lapack_funcs", failing)
+    with pytest.raises(ArithmeticError, match=r"^trsyl failed \(info 1\)$"):
+        tn.sylvester(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), np.eye(2))
+    assert cli.main(["demo", "sylvester", "--c", "diag:1,2",
+                     "--d", "diag:3,4", "--w", "scalar:1", "--k", "2"]) == 1
+    assert capsys.readouterr() == ("", "twonorm: trsyl failed (info 1)\n")
+
+
 def _kronecker_route(c, d, w):
     """The dense oracle: solve and smallest singular value of the flattened
     k^2 x k^2 map ``I (x) c - d^T (x) I``."""

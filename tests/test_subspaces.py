@@ -69,6 +69,16 @@ def test_span_and_range_kernel_reject_non_finite_entries(bad):
         tn.krein_check(ws, tn.span(ws, [np.eye(3)[0]]), m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_subspace_built_directly_rejects_a_non_finite_basis(bad):
+    """Unchecked, such a basis would give a NaN canonical projection and
+    complement, or numpy's ``SVD did not converge`` naming neither the
+    input nor the entry; it is a ``ValueError`` at construction."""
+    ws = tn.make_space(3, np.eye(3))
+    with pytest.raises(ValueError, match="^basis must have finite entries$"):
+        tn.Subspace(np.array([[bad], [0.0], [0.0]]), ws)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_non_finite_entries_are_rejected_before_any_svd(dtype, monkeypatch):
     """numpy's SVD with vectors does not return on ``diag(inf, 1, 0)``, so
